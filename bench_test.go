@@ -480,7 +480,7 @@ func BenchmarkPrefixExtraction_Twitter(b *testing.B) {
 
 // BenchmarkPooledTopK compares the pooled query path (engines and CVS
 // buffers reused via QueryPool) against the seed per-query path that builds
-// a fresh engine — four O(n) slices — for every call. The pooled variant's
+// a fresh engine — three O(n) slices — for every call. The pooled variant's
 // allocs/op must stay far below the per-query variant: in steady state it
 // allocates only the returned Result.
 func BenchmarkPooledTopK(b *testing.B) {
@@ -501,6 +501,21 @@ func BenchmarkPooledTopK(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pool.TopK(ctx, 10, int(gamma)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// Non-containment queries scan far deeper than containment ones (their
+	// keynodes are sparse), so this row is where carrying each round's
+	// keynodes forward instead of re-cascading them shows.
+	b.Run("NonContainment", func(b *testing.B) {
+		pool := NewQueryPool(g)
+		ctx := context.Background()
+		opts := Options{NonContainment: true}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pool.TopKWithOptions(ctx, 10, int(gamma), opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -111,7 +111,7 @@ func StreamContextWithOptions(ctx context.Context, g *Graph, gamma int, opts Opt
 }
 
 // QueryPool amortizes per-query setup for repeated queries over one graph:
-// search engines (four O(n) scratch slices each) and round buffers are
+// search engines (three O(n) scratch slices each) and round buffers are
 // pooled and reused, so steady-state queries allocate only their results.
 // Use one QueryPool per graph for serving workloads; it is safe for
 // concurrent use. A QueryPool is the in-memory Store backend under its

@@ -24,9 +24,12 @@ type Engine struct {
 	g     *graph.Graph
 	gamma int32
 
-	p      int     // current prefix length
-	alive  []bool  // membership in the maintained γ-core, per vertex < p
-	deg    []int32 // degree inside the maintained γ-core
+	p int // current prefix length
+	// deg[u] is u's degree inside the maintained γ-core and doubles as the
+	// membership flag: u < p is alive exactly when deg[u] ≥ γ. A vertex
+	// cascaded out keeps the degree that dropped below γ; a removed keynode
+	// gets -1. Checking liveness is then the same load as the decrement.
+	deg    []int32
 	queue  []int32 // scratch removal queue
 	cursor int     // scan position for NextMin (monotonically decreasing)
 
@@ -46,7 +49,6 @@ func NewEngine(g *graph.Graph, gamma int32) *Engine {
 	return &Engine{
 		g:     g,
 		gamma: gamma,
-		alive: make([]bool, n),
 		deg:   make([]int32, n),
 		queue: make([]int32, 0, n),
 		stamp: make([]int32, n),
@@ -111,15 +113,11 @@ func (e *Engine) tick(n int) bool {
 func (e *Engine) Peel(p int) {
 	e.p = p
 	e.cursor = p - 1
-	alive, deg := e.alive[:p], e.deg[:p]
-	for u := 0; u < p; u++ {
-		alive[u] = true
-		deg[u] = e.g.DegreeWithin(int32(u), p)
-	}
+	deg := e.deg[:p]
 	q := e.queue[:0]
 	for u := 0; u < p; u++ {
+		deg[u] = e.g.DegreeWithin(int32(u), p)
 		if deg[u] < e.gamma {
-			alive[u] = false
 			q = append(q, int32(u))
 		}
 	}
@@ -134,12 +132,11 @@ func (e *Engine) Peel(p int) {
 			break
 		}
 		for _, w := range e.g.NeighborsWithin(v, p) {
-			if !alive[w] {
+			if deg[w] < e.gamma {
 				continue
 			}
 			deg[w]--
 			if deg[w] < e.gamma {
-				alive[w] = false
 				q = append(q, w)
 			}
 		}
@@ -148,7 +145,7 @@ func (e *Engine) Peel(p int) {
 }
 
 // Alive reports whether vertex u is still in the maintained γ-core.
-func (e *Engine) Alive(u int32) bool { return e.alive[u] }
+func (e *Engine) Alive(u int32) bool { return e.deg[u] >= e.gamma }
 
 // AliveSize returns the number of vertices and edges currently alive; used
 // by baselines to measure the cost of a component traversal.
@@ -156,7 +153,7 @@ func (e *Engine) AliveSize() (int, int64) {
 	var nv int
 	var half int64
 	for u := 0; u < e.p; u++ {
-		if e.alive[u] {
+		if e.deg[u] >= e.gamma {
 			nv++
 			half += int64(e.deg[u])
 		}
@@ -168,7 +165,7 @@ func (e *Engine) AliveSize() (int, int64) {
 // next keynode, Line 5 of Algorithm 2), or -1 when the core is empty.
 func (e *Engine) NextMin() int32 {
 	for e.cursor >= 0 {
-		if e.alive[e.cursor] {
+		if e.deg[e.cursor] >= e.gamma {
 			return int32(e.cursor)
 		}
 		e.cursor--
@@ -183,7 +180,7 @@ func (e *Engine) NextMin() int32 {
 // cancelled context stops the cascade early (check Err).
 func (e *Engine) Remove(u int32, seq []int32) []int32 {
 	q := e.queue[:0]
-	e.alive[u] = false
+	e.deg[u] = -1
 	q = append(q, u)
 	for len(q) > 0 {
 		v := q[len(q)-1]
@@ -193,12 +190,11 @@ func (e *Engine) Remove(u int32, seq []int32) []int32 {
 			break
 		}
 		for _, w := range e.g.NeighborsWithin(v, e.p) {
-			if !e.alive[w] {
+			if e.deg[w] < e.gamma {
 				continue
 			}
 			e.deg[w]--
 			if e.deg[w] < e.gamma {
-				e.alive[w] = false
 				q = append(q, w)
 			}
 		}
@@ -223,7 +219,7 @@ func (e *Engine) Component(u int32) []int32 {
 			break
 		}
 		for _, w := range e.g.NeighborsWithin(v, e.p) {
-			if e.alive[w] && e.stamp[w] != s {
+			if e.deg[w] >= e.gamma && e.stamp[w] != s {
 				e.stamp[w] = s
 				comp = append(comp, w)
 			}
@@ -242,6 +238,11 @@ type CVS struct {
 	KeyPos []int32 // len(Keys)+1; group j is Seq[KeyPos[j]:KeyPos[j+1]]
 	Seq    []int32 // cvs: community-aware vertex sequence
 	NC     []bool  // per-key non-containment flag; nil unless requested
+
+	// bands lists the Keys index at which each band starts, in round order,
+	// for a CVS assembled band by band (see startBand); empty means the CVS
+	// is one band.
+	bands []int32
 }
 
 // Count returns the number of influential γ-communities found.
@@ -258,35 +259,91 @@ func (c *CVS) reset(p int) {
 	c.KeyPos = append(c.KeyPos[:0], 0)
 	c.Seq = c.Seq[:0]
 	c.NC = c.NC[:0]
+	c.bands = c.bands[:0]
 }
 
 // CompactTail returns a fresh CVS holding copies of the last k groups of c
-// (all of them when k < 0). Enumeration retains group sub-slices, so a
+// (all of them when k < 0) in increasing weight order. A CVS assembled from
+// banded rounds holds its bands in round order, and every later band's
+// keynodes weigh less than all earlier bands' keynodes, so the copy lists
+// the bands last to first. Enumeration retains group sub-slices, so a
 // pooled run — whose CVS buffers go back to the pool — hands enumeration a
 // compact copy instead; the copy is exactly the data the result keeps alive.
 func (c *CVS) CompactTail(k int) *CVS {
-	start := 0
-	if k >= 0 && len(c.Keys) > k {
-		start = len(c.Keys) - k
+	bands := c.bands
+	if len(bands) == 0 {
+		bands = []int32{0}
 	}
-	nk := len(c.Keys) - start
+	end := func(b int) int {
+		if b+1 < len(bands) {
+			return int(bands[b+1])
+		}
+		return len(c.Keys)
+	}
+	nk := len(c.Keys)
+	if k >= 0 && nk > k {
+		nk = k
+	}
+	// The kept groups are whole bands 0..b-1 plus the keys [lo, end(b)) of
+	// band b: the heaviest nk keynodes.
+	b, lo := 0, 0
+	for need := nk; ; b++ {
+		if lo = end(b) - need; lo >= int(bands[b]) {
+			break
+		}
+		need -= end(b) - int(bands[b])
+	}
 	out := &CVS{
 		P:      c.P,
 		Keys:   make([]int32, nk),
 		KeyPos: make([]int32, nk+1),
-	}
-	copy(out.Keys, c.Keys[start:])
-	base := c.KeyPos[start]
-	out.Seq = make([]int32, c.KeyPos[len(c.Keys)]-base)
-	copy(out.Seq, c.Seq[base:])
-	for j := 0; j <= nk; j++ {
-		out.KeyPos[j] = c.KeyPos[start+j] - base
+		Seq:    make([]int32, c.KeyPos[bands[b]]+c.KeyPos[end(b)]-c.KeyPos[lo]),
 	}
 	if c.NC != nil {
 		out.NC = make([]bool, nk)
-		copy(out.NC, c.NC[start:])
+	}
+	j := 0
+	for ; b >= 0; b-- {
+		hi := end(b)
+		base := c.KeyPos[lo]
+		copy(out.Keys[j:], c.Keys[lo:hi])
+		copy(out.Seq[out.KeyPos[j]:], c.Seq[base:c.KeyPos[hi]])
+		if out.NC != nil {
+			copy(out.NC[j:], c.NC[lo:hi])
+		}
+		shift := out.KeyPos[j] - base
+		for i := lo; i < hi; i++ {
+			j++
+			out.KeyPos[j] = c.KeyPos[i+1] + shift
+		}
+		if b > 0 {
+			lo = int(bands[b-1])
+		}
 	}
 	return out
+}
+
+// startBand marks the keynodes appended to c from now on as a new band.
+func (c *CVS) startBand() { c.bands = append(c.bands, int32(len(c.Keys))) }
+
+// appendCVS appends band, a one-band CVS computed on prefix band.P with
+// the given flags, to c as c's next band.
+func (c *CVS) appendCVS(band *CVS, flags RunFlags) {
+	c.P = band.P
+	c.startBand()
+	base := int32(len(c.Seq))
+	c.Keys = append(c.Keys, band.Keys...)
+	for _, pos := range band.KeyPos[1:] {
+		c.KeyPos = append(c.KeyPos, base+pos)
+	}
+	c.Seq = append(c.Seq, band.Seq...)
+	// An empty band carries no flags even when they were requested, so the
+	// flags, not band.NC, decide whether c keeps any.
+	if flags&WantNC == 0 {
+		c.NC = nil
+	} else {
+		c.NC = append(c.NC, band.NC...)
+	}
 }
 
 // RunFlags selects optional work in Engine.Run.
@@ -314,11 +371,23 @@ func (e *Engine) Run(p, stopBefore int, flags RunFlags) *CVS {
 // It returns the context error when a cancelled context aborted the run; the
 // CVS content is then partial and must be discarded.
 func (e *Engine) RunInto(c *CVS, p, stopBefore int, flags RunFlags) (*CVS, error) {
-	e.Peel(p)
 	if c == nil {
 		c = &CVS{}
 	}
 	c.reset(p)
+	return c, e.appendBand(c, p, stopBefore, flags)
+}
+
+// appendBand peels the prefix [0, p) and appends to c the band of keynodes
+// of rank ≥ stopBefore with their groups (and NC flags). The keynodes of
+// lower rank are exactly those of the prefix [0, stopBefore): once the
+// band's keynodes are removed, what remains is that prefix's γ-core, so
+// their groups and flags would come out identical (Algorithm 5). A driver
+// that ran the previous round on [0, stopBefore) into c thus carries its
+// keynodes forward and computes only the new band.
+func (e *Engine) appendBand(c *CVS, p, stopBefore int, flags RunFlags) error {
+	e.Peel(p)
+	c.P = p
 	if flags&WantNC != 0 {
 		flags |= WantSeq
 	}
@@ -340,10 +409,10 @@ func (e *Engine) RunInto(c *CVS, p, stopBefore int, flags RunFlags) (*CVS, error
 			c.NC = append(c.NC, e.isNonContainment(c.Seq[segStart:]))
 		}
 	}
-	if flags&WantNC == 0 && len(c.NC) == 0 {
+	if flags&WantNC == 0 {
 		c.NC = nil
 	}
-	return c, e.ctxErr
+	return e.ctxErr
 }
 
 // isNonContainment reports whether the removed segment has no edge to a
@@ -352,7 +421,7 @@ func (e *Engine) RunInto(c *CVS, p, stopBefore int, flags RunFlags) (*CVS, error
 func (e *Engine) isNonContainment(seg []int32) bool {
 	for _, v := range seg {
 		for _, w := range e.g.NeighborsWithin(v, e.p) {
-			if e.alive[w] {
+			if e.deg[w] >= e.gamma {
 				return false
 			}
 		}

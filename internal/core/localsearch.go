@@ -62,8 +62,11 @@ type Stats struct {
 	// FinalSize is size(G≥τ_h) = |V| + |E| of the last prefix: the largest
 	// subgraph accessed, bounded by 2δ·size(G≥τ*) (Lemma 3.8).
 	FinalSize int64
-	// TotalWork is Σᵢ size(G≥τᵢ): the total counting work, bounded by
-	// (1 + 1/(δ−1))·FinalSize (Lemma 3.7).
+	// TotalWork is Σᵢ size(G≥τᵢ): the total counting work. Under geometric
+	// growth every round is at least δ times the size of the one before, so
+	// TotalWork ≤ (1 + 1/(δ−1))·FinalSize (Lemma 3.7) when FinalPrefix < n.
+	// A last round capped at the whole graph may grow by less than δ×,
+	// which loosens the bound to (1 + δ/(δ−1))·FinalSize.
 	TotalWork int64
 	// Communities is the number of communities in the final prefix.
 	Communities int
@@ -168,73 +171,17 @@ func TopKCtx(ctx context.Context, g *graph.Graph, k int, gamma int32, opts Optio
 	if err := validateQuery(g, k, gamma); err != nil {
 		return nil, err
 	}
-	// One-shot queries route through the backend-agnostic driver; the
-	// pooled path (Pool.TopK) keeps its scratch-reusing twin runTopK.
 	return TopKOver(ctx, GraphSource(g), k, gamma, opts)
 }
 
-// runTopK is the shared LocalSearch driver behind TopKCtx and Pool.TopK.
-// When scratch is non-nil every round runs into it and enumeration works on
-// a compact copy of the tail, so the scratch (and the engine) can go back
-// to a pool while the returned Result owns only its own memory. A non-nil
-// enum replaces EnumIC's fresh per-query state; the caller recycles it.
-func runTopK(ctx context.Context, eng *Engine, scratch *CVS, enum *EnumState, g *graph.Graph, k int, opts Options) (*Result, error) {
-	n := g.NumVertices()
-	p := initialPrefix(g, k, eng.Gamma(), opts)
-	flags := WantSeq
-	if opts.NonContainment {
-		flags |= WantNC
-	}
-	var st Stats
-	var cvs *CVS
-	for {
-		var err error
-		cvs, err = eng.RunInto(scratch, p, 0, flags)
-		if err != nil {
-			return nil, err
-		}
-		st.Rounds++
-		st.TotalWork += g.PrefixSize(p)
-		cnt := countOf(cvs, opts.NonContainment)
-		if cnt >= k || p == n {
-			st.Communities = cnt
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p = growPrefix(g, p, opts)
-	}
-	st.FinalPrefix = p
-	st.FinalSize = g.PrefixSize(p)
-
-	if scratch != nil {
-		if opts.NonContainment {
-			// Non-containment keynodes are sparse among all keynodes, so
-			// the whole tail may be needed to collect k of them.
-			cvs = cvs.CompactTail(-1)
-		} else {
-			cvs = cvs.CompactTail(k)
-		}
-	}
-	var comms []*Community
-	switch {
-	case opts.NonContainment:
-		comms = nonContainmentCommunities(g, cvs, k)
-	case enum != nil:
-		comms = enum.Process(g, cvs, k)
-	default:
-		comms = EnumIC(g, cvs, k)
-	}
-	return &Result{Communities: comms, Stats: st}, nil
-}
-
-func countOf(c *CVS, nonContainment bool) int {
+// countOf returns the number of communities among the keynodes c.Keys[from:]:
+// all of them, or only the non-containment ones.
+func countOf(c *CVS, from int, nonContainment bool) int {
 	if !nonContainment {
-		return c.Count()
+		return len(c.Keys) - from
 	}
 	cnt := 0
-	for _, nc := range c.NC {
+	for _, nc := range c.NC[from:] {
 		if nc {
 			cnt++
 		}

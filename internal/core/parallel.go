@@ -35,151 +35,76 @@ type ForkableSource interface {
 const ParallelMinRoundWork = 1 << 16
 
 // TopKOverParallel is TopKOver with bounded intra-query parallelism: the
-// γ-round decompositions of LocalSearch are evaluated speculatively on up
-// to workers goroutines. The growth sequence τ₁ > τ₂ > … depends only on
-// prefix-size geometry — never on a round's outcome — so every round's
-// prefix is known up front and rounds are independent γ-core computations;
-// the driver claims them in order, runs them concurrently, and selects the
-// same round the sequential driver would have stopped at: the first whose
-// community count reaches k (or that covers the whole graph) with every
-// earlier round decided short. Overshooting rounds are cancelled. Results
-// — communities and access statistics — are byte-identical to TopKOver at
-// any worker count.
+// γ-rounds of LocalSearch are evaluated speculatively on up to workers
+// goroutines. The growth sequence τ₁ > τ₂ > … depends only on prefix-size
+// geometry — never on a round's outcome — so every round's prefix, and the
+// previous prefix that bounds its band of new keynodes, is known up front:
+// rounds are independent γ-core computations. The driver claims them in
+// order, runs them concurrently, and merges the bands in plan order, so it
+// stops at the same round the sequential driver would have stopped at: the
+// first whose cumulative community count reaches k (or that covers the
+// whole graph). Overshooting rounds are cancelled. Results — communities
+// and access statistics — are byte-identical to TopKOver at any worker
+// count.
 //
 // Sources that do not implement ForkableSource, worker counts below 2, and
 // queries below the work-size cutoff all fall back to TopKOver, as does
 // the ArithmeticGrowth ablation (whose unbounded round count defeats
 // speculation).
 func TopKOverParallel(ctx context.Context, src SearchSource, k int, gamma int32, opts Options, workers int) (*Result, error) {
-	if src == nil {
-		return TopKOver(ctx, src, k, gamma, opts)
+	if err := checkQuery(ctx, src, k, gamma, opts); err != nil {
+		return nil, err
 	}
 	fs, ok := src.(ForkableSource)
-	if !ok || workers <= 1 || opts.ArithmeticGrowth > 0 {
+	if !ok || workers <= 1 || opts.ArithmeticGrowth > 0 || src.PrefixSize(src.NumVertices()) < ParallelMinRoundWork {
 		return TopKOver(ctx, src, k, gamma, opts)
 	}
-	n := src.NumVertices()
-	if n == 0 || src.PrefixSize(n) < ParallelMinRoundWork {
-		return TopKOver(ctx, src, k, gamma, opts)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if gamma < 1 {
-		return nil, fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
-	}
-	if err := opts.validate(); err != nil {
+	var r bandedRun
+	r.init(src, gamma, opts)
+	defer r.release()
+	if err := r.speculate(ctx, fs, k, opts, workers); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	return r.result(k, opts), nil
+}
 
+// speculate runs the rounds of TopKOverParallel. On success r holds the
+// bands of every round up to the stopping round, and that round's graph.
+func (r *bandedRun) speculate(ctx context.Context, fs ForkableSource, k int, opts Options, workers int) error {
 	// The whole round plan is known before any γ-core is peeled: that is
 	// what makes speculation deterministic — round i inspects the same
-	// prefix whether rounds run one at a time or concurrently.
-	plan := []int{initialPrefix(src, k, gamma, opts)}
+	// prefix and band whether rounds run one at a time or concurrently.
+	n := r.src.NumVertices()
+	plan := []int{initialPrefix(r.src, k, r.gamma, opts)}
 	for p := plan[0]; p < n; {
-		p = growPrefix(src, p, opts)
+		p = growPrefix(r.src, p, opts)
 		plan = append(plan, p)
 	}
-
-	flags := WantSeq
-	if opts.NonContainment {
-		flags |= WantNC
-	}
-	ps, _ := src.(PooledSource)
-	var st Stats
 
 	// Sequential prelude: rounds below the cutoff run inline exactly as
 	// TopKOver runs them — same engine reuse, same pooling — so an early
 	// answer never pays for goroutines it didn't need.
 	start := 0
-	{
-		var (
-			g           *graph.Graph
-			eng         *Engine
-			pool        *Pool
-			scratch     *CVS
-			scratchPool *Pool
-		)
-		putBack := func() {
-			if pool != nil && eng != nil {
-				pool.Put(eng)
-			}
-			if scratchPool != nil && scratch != nil {
-				scratchPool.buffers.Put(scratch)
-			}
+	for ; start < len(plan) && r.src.PrefixSize(plan[start]) < ParallelMinRoundWork; start++ {
+		p := plan[start]
+		if err := r.round(ctx, p); err != nil {
+			return err
 		}
-		for start < len(plan) && src.PrefixSize(plan[start]) < ParallelMinRoundWork {
-			p := plan[start]
-			mg, err := src.Materialize(p)
-			if err != nil {
-				putBack()
-				return nil, err
-			}
-			if mg.NumVertices() < p {
-				putBack()
-				return nil, fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
-			}
-			if eng == nil || mg != g {
-				if pool != nil {
-					pool.Put(eng)
-				}
-				g = mg
-				pool = nil
-				if ps != nil {
-					pool = ps.SourcePool(g)
-				}
-				if pool != nil {
-					eng = pool.Get(gamma)
-					if scratch == nil {
-						scratchPool = pool
-						scratch = pool.buffers.Get().(*CVS)
-					}
-				} else {
-					eng = NewEngine(g, gamma)
-				}
-				eng.SetContext(ctx)
-			}
-			cvs, err := eng.RunInto(scratch, p, 0, flags)
-			if err != nil {
-				putBack()
-				return nil, err
-			}
-			st.Rounds++
-			st.TotalWork += src.PrefixSize(p)
-			cnt := countOf(cvs, opts.NonContainment)
-			if cnt >= k || p == n {
-				st.Communities = cnt
-				st.FinalPrefix = p
-				st.FinalSize = src.PrefixSize(p)
-				if scratch != nil {
-					if opts.NonContainment {
-						cvs = cvs.CompactTail(-1)
-					} else {
-						cvs = cvs.CompactTail(k)
-					}
-				}
-				comms := enumerateCommunities(g, cvs, pool, k, opts)
-				putBack()
-				return &Result{Communities: comms, Stats: st}, nil
-			}
-			if err := ctx.Err(); err != nil {
-				putBack()
-				return nil, err
-			}
-			start++
+		if r.st.Communities >= k || p == n {
+			return nil
 		}
-		putBack()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
+	r.putEngine()
 
 	// Speculative phase: workers claim the remaining rounds in plan order
-	// and evaluate them concurrently on forked sources. The coordinator
-	// advances a frontier over finished rounds; the first winner candidate
-	// (count ≥ k, or the whole-graph round) it reaches with all earlier
-	// rounds decided short is exactly the sequential stopping round, and
-	// everything still running past it is cancelled.
+	// and compute each round's band concurrently on forked sources. The
+	// coordinator advances a frontier over finished rounds, adding their
+	// band counts; the first round whose cumulative count reaches k (or
+	// that covers the whole graph) is exactly the sequential stopping
+	// round, and everything still running past it is cancelled.
 	specCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]*specRound, len(plan))
@@ -188,8 +113,8 @@ func TopKOverParallel(ctx context.Context, src SearchSource, k int, gamma int32,
 	var next atomic.Int64
 	next.Store(int64(start))
 	nw := workers
-	if r := len(plan) - start; nw > r {
-		nw = r
+	if rem := len(plan) - start; nw > rem {
+		nw = rem
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -201,68 +126,72 @@ func TopKOverParallel(ctx context.Context, src SearchSource, k int, gamma int32,
 				if i >= len(plan) {
 					return
 				}
-				results[i] = evalSpecRound(specCtx, fs, plan[i], n, gamma, flags, k, opts)
+				prev := 0
+				if i > 0 {
+					prev = plan[i-1]
+				}
+				results[i] = evalSpecRound(specCtx, fs, plan[i], prev, r.gamma, r.flags, r.nc)
 				done <- i
 			}
 		}()
 	}
 	winnerIdx := -1
 	var rerr error
+	cnt := r.st.Communities
 	for f := start; f < len(plan); {
 		if !ready[f] {
 			ready[<-done] = true
 			continue
 		}
-		r := results[f]
-		if r.err != nil {
-			rerr = r.err
+		res := results[f]
+		if res.err != nil {
+			rerr = res.err
 			break
 		}
-		if r.cnt >= k || plan[f] == n {
+		cnt += res.cnt
+		if cnt >= k || plan[f] == n {
 			winnerIdx = f
 			break
 		}
+		// The round's band is an owned copy; only the winner's graph is
+		// needed for enumeration.
+		res.release()
+		res.release = nil
 		f++
 	}
 	cancel()
 	wg.Wait()
 	defer func() {
-		for i, r := range results {
-			if r != nil && r.release != nil && i != winnerIdx {
-				r.release()
+		for _, res := range results {
+			if res != nil && res.release != nil {
+				res.release()
 			}
 		}
 	}()
 	if rerr != nil {
-		return nil, rerr
+		return rerr
 	}
 	if winnerIdx < 0 {
-		return nil, fmt.Errorf("core: parallel driver found no stopping round over %d rounds", len(plan))
+		return fmt.Errorf("core: parallel driver found no stopping round over %d rounds", len(plan))
+	}
+	r.ensureAcc(plan[start])
+	for i := start; i <= winnerIdx; i++ {
+		r.acc.appendCVS(results[i].band, r.flags)
+		r.account(plan[i], results[i].cnt)
 	}
 	win := results[winnerIdx]
-	for i := start; i <= winnerIdx; i++ {
-		st.Rounds++
-		st.TotalWork += src.PrefixSize(plan[i])
-	}
-	st.Communities = win.cnt
-	st.FinalPrefix = plan[winnerIdx]
-	st.FinalSize = src.PrefixSize(plan[winnerIdx])
-	comms := enumerateCommunities(win.g, win.cvs, win.pool, k, opts)
-	if win.release != nil {
-		win.release()
-		win.release = nil
-	}
-	return &Result{Communities: comms, Stats: st}, nil
+	r.g, r.pool, r.winRelease = win.g, win.pool, win.release
+	win.release = nil
+	return nil
 }
 
-// specRound is the outcome of one speculatively evaluated round. Loser
-// rounds (count short of k on a partial prefix) carry only their count;
-// winner candidates keep the peeled CVS and materialized graph alive —
-// release non-nil — until the coordinator either enumerates them or rules
-// them out.
+// specRound is the outcome of one speculatively evaluated round: its band
+// of new keynodes, as an owned CVS, and the graph it was computed on, kept
+// alive — release non-nil — until the coordinator either enumerates it as
+// the stopping round or rules it out.
 type specRound struct {
 	cnt     int
-	cvs     *CVS
+	band    *CVS
 	g       *graph.Graph
 	pool    *Pool
 	release func()
@@ -270,23 +199,22 @@ type specRound struct {
 }
 
 // evalSpecRound runs one γ-round on a forked source: materialize the
-// prefix, peel the γ-core, count communities. It mirrors one iteration of
-// TopKOver's loop, with pooled engines and CVS scratch checked out per
-// round and returned before the result is handed back.
-func evalSpecRound(ctx context.Context, fs ForkableSource, p, n int, gamma int32, flags RunFlags, k int, opts Options) *specRound {
+// prefix [0, p), peel its γ-core, and produce the band of keynodes with
+// rank ≥ prev. It mirrors bandedRun.round, with pooled engines and CVS
+// scratch checked out per round and returned before the result is handed
+// back.
+func evalSpecRound(ctx context.Context, fs ForkableSource, p, prev int, gamma int32, flags RunFlags, nc bool) *specRound {
 	if err := ctx.Err(); err != nil {
 		return &specRound{err: err}
 	}
 	src, release := fs.Fork(ctx)
-	out := &specRound{}
+	out := &specRound{release: release}
 	g, err := src.Materialize(p)
 	if err != nil {
-		release()
 		out.err = err
 		return out
 	}
 	if g.NumVertices() < p {
-		release()
 		out.err = fmt.Errorf("core: source materialized %d vertices, prefix needs %d", g.NumVertices(), p)
 		return out
 	}
@@ -303,36 +231,19 @@ func evalSpecRound(ctx context.Context, fs ForkableSource, p, n int, gamma int32
 		eng = NewEngine(g, gamma)
 	}
 	eng.SetContext(ctx)
-	cvs, err := eng.RunInto(scratch, p, 0, flags)
+	band, err := eng.RunInto(scratch, p, prev, flags)
 	if err != nil {
 		out.err = err
 	} else {
-		out.cnt = countOf(cvs, opts.NonContainment)
-		if out.cnt >= k || p == n {
-			// Winner candidate: keep the peeled state. The CVS is compacted
-			// (or simply kept, when round-private) exactly as the sequential
-			// driver would before enumeration.
-			if scratch != nil {
-				if opts.NonContainment {
-					out.cvs = cvs.CompactTail(-1)
-				} else {
-					out.cvs = cvs.CompactTail(k)
-				}
-			} else {
-				out.cvs = cvs
-			}
-			out.g = g
-			out.pool = pool
+		out.cnt = countOf(band, 0, nc)
+		if scratch != nil {
+			band = band.CompactTail(-1) // the scratch goes back to the pool
 		}
+		out.band, out.g, out.pool = band, g, pool
 	}
 	if pool != nil {
 		pool.Put(eng)
 		pool.buffers.Put(scratch)
-	}
-	if out.g == nil {
-		release()
-	} else {
-		out.release = release
 	}
 	return out
 }

@@ -8,17 +8,18 @@ import (
 )
 
 // Pool amortizes per-query setup cost for repeated LocalSearch queries over
-// one graph. A fresh query through TopK builds four O(n) engine slices and
-// per-round CVS buffers; under serving traffic that allocation dominates
-// small queries and pressures the GC. A Pool keeps engines (rebound to each
-// query's γ on checkout, which subsumes keeping one pool per γ — the
-// scratch depends only on the graph) and CVS buffers in sync.Pools, so
-// steady-state queries perform zero engine allocations.
+// one graph. A fresh query through TopK builds three O(n) engine slices and
+// a CVS buffer for the keynodes of its rounds; under serving traffic that
+// allocation dominates small queries and pressures the GC. A Pool keeps
+// engines (rebound to each query's γ on checkout, which subsumes keeping
+// one pool per γ — the scratch depends only on the graph) and CVS buffers
+// in sync.Pools, so steady-state queries perform zero engine allocations.
 //
 // A Pool is safe for concurrent use; each checked-out engine is used by one
 // goroutine at a time.
 type Pool struct {
 	g       *graph.Graph
+	src     *poolSource
 	engines sync.Pool // *Engine
 	buffers sync.Pool // *CVS
 	enums   sync.Pool // *EnumState
@@ -27,10 +28,26 @@ type Pool struct {
 // NewPool returns a Pool serving queries over g.
 func NewPool(g *graph.Graph) *Pool {
 	p := &Pool{g: g}
+	p.src = &poolSource{memSource{g}, p}
 	p.engines.New = func() any { return NewEngine(g, 0) }
 	p.buffers.New = func() any { return new(CVS) }
 	p.enums.New = func() any { return NewEnumState(g.NumVertices()) }
 	return p
+}
+
+// poolSource is the in-memory source whose engines and buffers come from
+// the pool bound to its graph.
+type poolSource struct {
+	memSource
+	pool *Pool
+}
+
+// SourcePool returns the pool for its own graph.
+func (s *poolSource) SourcePool(g *graph.Graph) *Pool {
+	if g == s.pool.g {
+		return s.pool
+	}
+	return nil
 }
 
 // Graph returns the pool's graph.
@@ -50,33 +67,15 @@ func (p *Pool) Put(e *Engine) {
 	p.engines.Put(e)
 }
 
-// TopK answers a top-k query with pooled scratch state: equivalent to
-// TopKCtx but allocation-free in steady state apart from the returned
+// TopK answers a top-k query with pooled scratch state: TopKOver over the
+// in-memory graph with the pool as its PooledSource, so it is equivalent
+// to TopKCtx but allocation-free in steady state apart from the returned
 // Result, which owns its own memory.
 func (p *Pool) TopK(ctx context.Context, k int, gamma int32, opts Options) (*Result, error) {
-	if err := validateQuery(p.g, k, gamma); err != nil {
-		return nil, err
+	if p.g == nil {
+		return nil, errNilGraph
 	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	eng := p.Get(gamma)
-	defer p.Put(eng)
-	eng.SetContext(ctx)
-	scratch := p.buffers.Get().(*CVS)
-	defer p.buffers.Put(scratch)
-	var enum *EnumState
-	if !opts.NonContainment {
-		enum = p.enums.Get().(*EnumState)
-		defer func() {
-			enum.Recycle()
-			p.enums.Put(enum)
-		}()
-	}
-	return runTopK(ctx, eng, scratch, enum, p.g, k, opts)
+	return TopKOver(ctx, p.src, k, gamma, opts)
 }
 
 // Stream answers a progressive query with a pooled engine: equivalent to

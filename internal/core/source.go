@@ -33,7 +33,7 @@ type SearchSource interface {
 // bound to that graph, and TopKOver then checks engines, CVS buffers, and
 // enumeration state out of it instead of allocating O(p) scratch per query
 // — the difference between a serving hot path that allocates only its
-// Result and one that rebuilds four vertex-sized slices per request.
+// Result and one that rebuilds three vertex-sized slices per request.
 type PooledSource interface {
 	// SourcePool returns the pool whose engines are bound to exactly g, or
 	// nil when g is query-private and must get a fresh engine.
@@ -64,118 +64,180 @@ func GraphSource(g *graph.Graph) SearchSource { return memSource{g} }
 // only the prefix the search has grown to, which is how a query can execute
 // against a graph larger than RAM.
 func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Options) (*Result, error) {
-	if src == nil {
-		return nil, errors.New("core: nil search source")
+	if err := checkQuery(ctx, src, k, gamma, opts); err != nil {
+		return nil, err
 	}
 	n := src.NumVertices()
-	if n == 0 {
-		return nil, errors.New("core: empty graph")
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if gamma < 1 {
-		return nil, fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	p := initialPrefix(src, k, gamma, opts)
-	flags := WantSeq
-	if opts.NonContainment {
-		flags |= WantNC
-	}
-	ps, _ := src.(PooledSource)
-	var (
-		st  Stats
-		cvs *CVS
-		g   *graph.Graph
-		eng *Engine
-		// pool, when non-nil, owns eng (invariant: eng came from pool.Get
-		// and goes back with pool.Put). scratchPool likewise owns scratch;
-		// the CVS buffer only depends on output size, so it is kept across
-		// graph changes and returned to the pool it came from.
-		pool        *Pool
-		scratch     *CVS
-		scratchPool *Pool
-	)
-	defer func() {
-		if pool != nil && eng != nil {
-			pool.Put(eng)
-		}
-		if scratchPool != nil && scratch != nil {
-			scratchPool.buffers.Put(scratch)
-		}
-	}()
-	for {
-		mg, err := src.Materialize(p)
-		if err != nil {
+	var r bandedRun
+	r.init(src, gamma, opts)
+	defer r.release()
+	for p := initialPrefix(src, k, gamma, opts); ; p = growPrefix(src, p, opts) {
+		if err := r.round(ctx, p); err != nil {
 			return nil, err
 		}
-		if mg.NumVertices() < p {
-			return nil, fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
-		}
-		// Engines are bound to one graph; reuse only while the source keeps
-		// returning the same one (the in-memory case, or a cached prefix
-		// large enough for every round of this query).
-		if eng == nil || mg != g {
-			if pool != nil {
-				pool.Put(eng)
-			}
-			g = mg
-			pool = nil
-			if ps != nil {
-				pool = ps.SourcePool(g)
-			}
-			if pool != nil {
-				eng = pool.Get(gamma)
-				if scratch == nil {
-					scratchPool = pool
-					scratch = pool.buffers.Get().(*CVS)
-				}
-			} else {
-				eng = NewEngine(g, gamma)
-			}
-			eng.SetContext(ctx)
-		}
-		cvs, err = eng.RunInto(scratch, p, 0, flags)
-		if err != nil {
-			return nil, err
-		}
-		st.Rounds++
-		st.TotalWork += src.PrefixSize(p)
-		cnt := countOf(cvs, opts.NonContainment)
-		if cnt >= k || p == n {
-			st.Communities = cnt
+		if r.st.Communities >= k || p == n {
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p = growPrefix(src, p, opts)
 	}
-	st.FinalPrefix = p
-	st.FinalSize = src.PrefixSize(p)
+	return r.result(k, opts), nil
+}
 
-	if scratch != nil {
-		// cvs aliases the pooled buffer; enumeration retains group slices,
-		// so hand it a compact copy and let the buffer go back to the pool.
-		if opts.NonContainment {
-			cvs = cvs.CompactTail(-1)
-		} else {
-			cvs = cvs.CompactTail(k)
-		}
+// checkQuery validates a query against src before any round runs.
+func checkQuery(ctx context.Context, src SearchSource, k int, gamma int32, opts Options) error {
+	switch {
+	case src == nil:
+		return errors.New("core: nil search source")
+	case src.NumVertices() == 0:
+		return errors.New("core: empty graph")
+	case k < 1:
+		return fmt.Errorf("core: k must be >= 1, got %d", k)
+	case gamma < 1:
+		return fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
 	}
-	return &Result{Communities: enumerateCommunities(g, cvs, pool, k, opts), Stats: st}, nil
+	if err := opts.validate(); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+// bandedRun is the round state of one LocalSearch query: the engine bound
+// to the graph the source last materialized, and the keynodes found so far.
+// Round i peels its whole prefix [0, pᵢ) but computes only the band of
+// keynodes with rank ≥ pᵢ₋₁; the keynodes of earlier rounds are identical
+// in every later prefix (see Engine.appendBand), so they are carried
+// forward in acc instead of being re-cascaded. Vertex IDs in acc are global
+// ranks, which keeps the carried bands valid when the source materializes a
+// different graph for a later round.
+type bandedRun struct {
+	src   SearchSource
+	ps    PooledSource
+	gamma int32
+	flags RunFlags
+	nc    bool
+
+	g   *graph.Graph // graph of the last round (or of the parallel winner)
+	eng *Engine      // engine bound to g; nil after the parallel hand-off
+	// pool, when non-nil, owns eng (it came from pool.Get and goes back
+	// with pool.Put) and supplies enumeration state for g. accPool likewise
+	// owns acc; the CVS buffer only depends on output size, so it is kept
+	// across graph changes and returned to the pool it came from.
+	pool       *Pool
+	acc        *CVS // bands of all rounds so far, in round order
+	accPool    *Pool
+	winRelease func() // releases the parallel winner's graph; nil otherwise
+
+	prev int   // prefix of the last round: its keynodes are final
+	st   Stats // Communities is the running count over all bands
+}
+
+func (r *bandedRun) init(src SearchSource, gamma int32, opts Options) {
+	r.src, r.gamma, r.nc = src, gamma, opts.NonContainment
+	r.ps, _ = src.(PooledSource)
+	r.flags = WantSeq
+	if r.nc {
+		r.flags |= WantNC
+	}
+}
+
+// round runs one LocalSearch round on the prefix [0, p), p > r.prev.
+func (r *bandedRun) round(ctx context.Context, p int) error {
+	mg, err := r.src.Materialize(p)
+	if err != nil {
+		return err
+	}
+	if mg.NumVertices() < p {
+		return fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
+	}
+	// Engines are bound to one graph; reuse only while the source keeps
+	// returning the same one (the in-memory case, or a cached prefix large
+	// enough for every round of this query).
+	if r.eng == nil || mg != r.g {
+		r.putEngine()
+		r.g = mg
+		if r.ps != nil {
+			r.pool = r.ps.SourcePool(mg)
+		}
+		if r.pool != nil {
+			r.eng = r.pool.Get(r.gamma)
+		} else {
+			r.eng = NewEngine(mg, r.gamma)
+		}
+		r.eng.SetContext(ctx)
+	}
+	r.ensureAcc(p)
+	from := len(r.acc.Keys)
+	r.acc.startBand()
+	if err := r.eng.appendBand(r.acc, p, r.prev, r.flags); err != nil {
+		return err
+	}
+	r.account(p, countOf(r.acc, from, r.nc))
+	return nil
+}
+
+// ensureAcc checks the band buffer out of the current pool (or allocates
+// it) before the first band is appended.
+func (r *bandedRun) ensureAcc(p int) {
+	if r.acc != nil {
+		return
+	}
+	if r.pool != nil {
+		r.acc, r.accPool = r.pool.buffers.Get().(*CVS), r.pool
+	} else {
+		r.acc = new(CVS)
+	}
+	r.acc.reset(p)
+}
+
+// account records a finished round on prefix p whose band held cnt
+// communities.
+func (r *bandedRun) account(p, cnt int) {
+	r.prev = p
+	r.st.Rounds++
+	r.st.TotalWork += r.src.PrefixSize(p)
+	r.st.Communities += cnt
+}
+
+// putEngine returns the current engine to its pool, if pooled.
+func (r *bandedRun) putEngine() {
+	if r.pool != nil && r.eng != nil {
+		r.pool.Put(r.eng)
+	}
+	r.eng, r.pool = nil, nil
+}
+
+// release hands every pooled resource back; the result must be built first.
+func (r *bandedRun) release() {
+	r.putEngine()
+	if r.accPool != nil {
+		r.accPool.buffers.Put(r.acc)
+	}
+	if r.winRelease != nil {
+		r.winRelease()
+	}
+}
+
+// result enumerates the top-k communities from the carried bands of the
+// last round, on that round's graph. The compact copy puts the bands in
+// increasing weight order and owns its memory, so acc can go back to its
+// pool: containment keeps the last k groups, non-containment all of them —
+// non-containment keynodes are sparse among all keynodes, so the whole
+// sequence may be needed to collect k of them.
+func (r *bandedRun) result(k int, opts Options) *Result {
+	r.st.FinalPrefix = r.prev
+	r.st.FinalSize = r.src.PrefixSize(r.prev)
+	tail := k
+	if r.nc {
+		tail = -1
+	}
+	cvs := r.acc.CompactTail(tail)
+	return &Result{Communities: enumerateCommunities(r.g, cvs, r.pool, k, opts), Stats: r.st}
 }
 
 // enumerateCommunities materializes the final communities from a peeled
-// CVS: the shared tail of TopKOver and the parallel driver, so the two can
-// never drift apart. A non-nil pool supplies recycled enumeration state.
+// CVS. A non-nil pool supplies recycled enumeration state.
 func enumerateCommunities(g *graph.Graph, cvs *CVS, pool *Pool, k int, opts Options) []*Community {
 	switch {
 	case opts.NonContainment:

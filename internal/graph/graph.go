@@ -125,10 +125,29 @@ func (g *Graph) PrefixForSize(want int64) int {
 }
 
 // DegreeWithin returns the number of neighbors of u with rank < p, i.e. u's
-// degree inside the prefix subgraph [0, p). It runs in O(log deg(u)).
+// degree inside the prefix subgraph [0, p). The row is ascending and its
+// first upDeg[u] entries are exactly the neighbors of rank < u, so the row
+// end is found by a linear scan from upDeg[u]: forward over the neighbors
+// in (u, p) when u < p, backward over the up-neighbors of rank ≥ p
+// otherwise. When u < p the scan visits only entries that NeighborsWithin
+// returns, so it costs no more than iterating that result; a prefix
+// covering the whole graph returns the full row in O(1).
 func (g *Graph) DegreeWithin(u int32, p int) int32 {
-	row := g.adj[g.off[u]:g.off[u+1]]
-	return int32(sort.Search(len(row), func(i int) bool { return int(row[i]) >= p }))
+	lo, hi := g.off[u], g.off[u+1]
+	if p >= g.n {
+		return int32(hi - lo)
+	}
+	i := lo + int64(g.upDeg[u])
+	if int(u) < p {
+		for i < hi && int(g.adj[i]) < p {
+			i++
+		}
+	} else {
+		for i > lo && int(g.adj[i-1]) >= p {
+			i--
+		}
+	}
+	return int32(i - lo)
 }
 
 // NeighborsWithin returns the neighbors of u with rank < p. The caller must

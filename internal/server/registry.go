@@ -2,7 +2,6 @@ package server
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -537,8 +536,7 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if !decodeAdminBody(w, r, maxLoadBody, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

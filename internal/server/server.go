@@ -547,3 +547,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
+
+// Admin request bodies are read through http.MaxBytesReader, as /v1/query's
+// is, so one request cannot make the server buffer an unbounded body. The
+// updates limit leaves 64 bytes for each of maxUpdateBatch operations; a
+// dataset-load body is a handful of short fields. They are variables only
+// so tests can reach them without sending megabytes.
+var (
+	maxLoadBody    int64 = 1 << 20
+	maxUpdatesBody int64 = 64 * maxUpdateBatch
+)
+
+// decodeAdminBody decodes r's JSON body, at most limit bytes, into v. It
+// answers 413 when the body is larger and 400 when it is malformed, and
+// reports whether decoding succeeded.
+func decodeAdminBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
+	return false
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -63,8 +62,7 @@ func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var req updatesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if !decodeAdminBody(w, r, maxUpdatesBody, &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
