@@ -30,9 +30,9 @@
 // prefix they need through a shared memory-mapped view (mode=stream forces
 // the sequential reader), and prefix-cache=SIZE (e.g. 64M) budgets a
 // shared decoded-prefix cache that serves cache-fitting queries at
-// in-memory speed. workers=N lets each large query evaluate its candidate
-// prefixes on up to N goroutines (byte-identical results; edge files in
-// the compressed v2 layout also bulk-decode in parallel). mutable=true
+// in-memory speed. workers=N splits each bulk prefix decode of an edge file
+// in the compressed v2 layout across up to N goroutines (byte-identical
+// results; queries themselves run sequentially). mutable=true
 // opens an edge file as a dynamic dataset:
 // POST /v1/admin/datasets/{name}/updates applies edge insertions and
 // deletions online (queries keep serving from immutable snapshots, never
@@ -49,7 +49,7 @@
 // in place); without
 // reindex=auto, the first effective update drops the index for good. On
 // mutable datasets workers=N bounds the rebuild/repair parallelism
-// instead of query parallelism. Datasets can
+// instead of decode parallelism. Datasets can
 // also be loaded and unloaded at runtime
 // through the admin endpoints — protect those with -admin-token (or keep
 // the port private): they can unload live datasets and open server-side

@@ -2,7 +2,9 @@
 // instance-optimal LocalSearch algorithm (Algorithm 1) for top-k influential
 // γ-community search, its counting (CountIC, Algorithm 2) and enumeration
 // (EnumIC, Algorithm 3) subroutines, the progressive LocalSearch-P variant
-// (Algorithms 4–5), and the non-containment extension (§5.1).
+// (Algorithms 4–5), and the non-containment extension (§5.1). Grow is the
+// growth loop of the generalized framework (Algorithm 6, §5.2) that all of
+// them, and the truss measure, run on.
 package core
 
 import (

@@ -326,26 +326,6 @@ func (c *CVS) CompactTail(k int) *CVS {
 // startBand marks the keynodes appended to c from now on as a new band.
 func (c *CVS) startBand() { c.bands = append(c.bands, int32(len(c.Keys))) }
 
-// appendCVS appends band, a one-band CVS computed on prefix band.P with
-// the given flags, to c as c's next band.
-func (c *CVS) appendCVS(band *CVS, flags RunFlags) {
-	c.P = band.P
-	c.startBand()
-	base := int32(len(c.Seq))
-	c.Keys = append(c.Keys, band.Keys...)
-	for _, pos := range band.KeyPos[1:] {
-		c.KeyPos = append(c.KeyPos, base+pos)
-	}
-	c.Seq = append(c.Seq, band.Seq...)
-	// An empty band carries no flags even when they were requested, so the
-	// flags, not band.NC, decide whether c keeps any.
-	if flags&WantNC == 0 {
-		c.NC = nil
-	} else {
-		c.NC = append(c.NC, band.NC...)
-	}
-}
-
 // RunFlags selects optional work in Engine.Run.
 type RunFlags uint8
 

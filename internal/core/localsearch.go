@@ -154,6 +154,67 @@ func growPrefix(g PrefixSizer, p int, opts Options) int {
 	return next
 }
 
+// ErrStopGrowth is returned by a Grow band to end the loop after its own
+// round: Grow accounts the round and returns its Stats with a nil error.
+var ErrStopGrowth = errors.New("core: growth stopped")
+
+// Grow is the growth loop of the local search framework (Algorithm 6,
+// §5.2): one loop for every cohesiveness measure, for both top-k and
+// progressive queries. Round i calls band(pᵢ, pᵢ₋₁), with p₀ = 0, which
+// computes the keynodes of rank ≥ pᵢ₋₁ in the prefix G[0, pᵢ) — the band
+// this round adds (ConstructCVS, Algorithm 5) — and returns how many
+// communities they hold. By Property-II the keynodes of earlier rounds,
+// and their groups, are the same in every later prefix, so the bands'
+// counts sum to CountICC of the current prefix.
+//
+// For k ≥ 1 the first prefix is Line 1's heuristic for k communities and
+// the loop stops at the first round whose cumulative count reaches k. For
+// k < 0 it is LocalSearch-P's loop (Algorithm 4): the first prefix is the
+// one that could hold a single community, and only the band (by returning
+// ErrStopGrowth) or the end of the graph stops it. Between rounds the
+// prefix grows δ-fold (Line 4), or by opts.ArithmeticGrowth, and the
+// returned Stats hold the §3.3 quantities of the rounds run.
+//
+// ctx is checked before every round. Any other band error ends the loop
+// and is returned with the Stats of the rounds before it.
+func Grow(ctx context.Context, sz PrefixSizer, k int, gamma int32, opts Options, band func(p, prev int) (int, error)) (Stats, error) {
+	var st Stats
+	switch {
+	case sz == nil:
+		return st, errNilGraph
+	case sz.NumVertices() == 0:
+		return st, errors.New("core: empty graph")
+	case k == 0:
+		return st, errors.New("core: k must be >= 1, or < 0 for a progressive run")
+	case gamma < 1:
+		return st, fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
+	}
+	if err := opts.validate(); err != nil {
+		return st, err
+	}
+	n := sz.NumVertices()
+	first := k
+	if k < 0 {
+		first = 1
+	}
+	for p, prev := initialPrefix(sz, first, gamma, opts), 0; ; p, prev = growPrefix(sz, p, opts), p {
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+		cnt, err := band(p, prev)
+		if err != nil && !errors.Is(err, ErrStopGrowth) {
+			return st, err
+		}
+		st.Rounds++
+		st.TotalWork += sz.PrefixSize(p)
+		st.Communities += cnt
+		st.FinalPrefix, st.FinalSize = p, sz.PrefixSize(p)
+		if err != nil || (k > 0 && st.Communities >= k) || p == n {
+			return st, nil
+		}
+	}
+}
+
 // TopK computes the top-k influential γ-communities of g with the
 // LocalSearch algorithm (Algorithm 1). Communities are returned in
 // decreasing influence order. The run touches only prefixes of the graph;
@@ -194,16 +255,16 @@ func countOf(c *CVS, from int, nonContainment bool) int {
 func nonContainmentCommunities(g *graph.Graph, c *CVS, k int) []*Community {
 	var out []*Community
 	for j := len(c.Keys) - 1; j >= 0 && len(out) < k; j-- {
-		if !c.NC[j] {
-			continue
+		if c.NC[j] {
+			out = append(out, groupCommunity(g, c, j))
 		}
-		seg := c.Group(j)
-		out = append(out, &Community{
-			keynode:   c.Keys[j],
-			influence: g.Weight(c.Keys[j]),
-			group:     seg,
-			size:      len(seg),
-		})
 	}
 	return out
+}
+
+// groupCommunity returns the community of keynode j whose group is all of
+// it: a non-containment community.
+func groupCommunity(g *graph.Graph, c *CVS, j int) *Community {
+	seg := c.Group(j)
+	return &Community{keynode: c.Keys[j], influence: g.Weight(c.Keys[j]), group: seg, size: len(seg)}
 }

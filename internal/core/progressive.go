@@ -22,84 +22,54 @@ func Stream(g *graph.Graph, gamma int32, opts Options, yield func(*Community) bo
 // boundaries and inside rounds every few thousand steps, so a cancelled
 // context stops the search promptly between yields.
 func StreamCtx(ctx context.Context, g *graph.Graph, gamma int32, opts Options, yield func(*Community) bool) (Stats, error) {
-	var st Stats
 	if err := validateQuery(g, 1, gamma); err != nil {
-		return st, err
-	}
-	if err := opts.validate(); err != nil {
-		return st, err
-	}
-	if err := ctx.Err(); err != nil {
-		return st, err
+		return Stats{}, err
 	}
 	eng := NewEngine(g, gamma)
 	eng.SetContext(ctx)
 	return runStream(ctx, eng, g, opts, yield)
 }
 
-// runStream is the shared LocalSearch-P driver behind StreamCtx and
-// Pool.Stream. Unlike the top-k driver it never reuses CVS buffers across
-// rounds: progressive enumeration retains each round's group slices in the
-// communities it yields, so every round's CVS must own its memory.
+// runStream is the LocalSearch-P driver behind StreamCtx and Pool.Stream:
+// Grow's progressive loop with a band that yields each new community as
+// soon as its round produces it. Every round computes only the keynodes
+// its prefix adds (ConstructCVS, Algorithm 5) — the computation sharing
+// that makes LocalSearch-P no slower than LocalSearch (Figure 15). Unlike
+// the top-k driver it never reuses CVS buffers across rounds: the yielded
+// communities retain each round's group slices, so every round's CVS must
+// own its memory.
 func runStream(ctx context.Context, eng *Engine, g *graph.Graph, opts Options, yield func(*Community) bool) (Stats, error) {
-	var st Stats
-	n := g.NumVertices()
-	// Line 1 of Algorithm 4: largest τ that could hold one community.
-	p := initialPrefix(g, 1, eng.Gamma(), opts)
-	prev := 0
-	enum := NewEnumState(n)
+	enum := NewEnumState(g.NumVertices())
 	flags := WantSeq
 	if opts.NonContainment {
 		flags |= WantNC
 	}
-	for {
-		// ConstructCVS (Algorithm 5): only keynodes not already reported
-		// in the previous round's prefix are produced, implementing the
-		// computation sharing that makes LocalSearch-P no slower than
-		// LocalSearch (Figure 15).
+	return Grow(ctx, g, -1, eng.Gamma(), opts, func(p, prev int) (int, error) {
 		cvs, err := eng.RunInto(nil, p, prev, flags)
 		if err != nil {
-			return st, err
+			return 0, err
 		}
-		st.Rounds++
-		st.TotalWork += g.PrefixSize(p)
-		st.FinalPrefix = p
-		st.FinalSize = g.PrefixSize(p)
-
+		cnt := 0
 		if opts.NonContainment {
 			for j := len(cvs.Keys) - 1; j >= 0; j-- {
 				if !cvs.NC[j] {
 					continue
 				}
-				st.Communities++
-				seg := cvs.Group(j)
-				c := &Community{
-					keynode:   cvs.Keys[j],
-					influence: g.Weight(cvs.Keys[j]),
-					group:     seg,
-					size:      len(seg),
-				}
-				if !yield(c) {
-					return st, nil
+				cnt++
+				if !yield(groupCommunity(g, cvs, j)) {
+					return cnt, ErrStopGrowth
 				}
 			}
-		} else {
-			for _, c := range enum.Process(g, cvs, -1) {
-				st.Communities++
-				if !yield(c) {
-					return st, nil
-				}
+			return cnt, nil
+		}
+		for _, c := range enum.Process(g, cvs, -1) {
+			cnt++
+			if !yield(c) {
+				return cnt, ErrStopGrowth
 			}
 		}
-		if p == n {
-			return st, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		prev = p
-		p = growPrefix(g, p, opts)
-	}
+		return cnt, nil
+	})
 }
 
 // TopKProgressive answers a top-k query with LocalSearch-P, collecting the

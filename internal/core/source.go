@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"influcomm/internal/graph"
@@ -48,10 +47,6 @@ func (s memSource) PrefixSize(p int) int64                { return s.g.PrefixSiz
 func (s memSource) PrefixForSize(want int64) int          { return s.g.PrefixForSize(want) }
 func (s memSource) Materialize(int) (*graph.Graph, error) { return s.g, nil }
 
-// Fork returns the source itself: an immutable in-memory graph serves any
-// number of concurrent rounds without per-fork state.
-func (s memSource) Fork(context.Context) (SearchSource, func()) { return s, func() {} }
-
 // GraphSource returns the SearchSource view of an in-memory graph:
 // Materialize hands back g itself, so TopKOver over it is exactly TopKCtx.
 func GraphSource(g *graph.Graph) SearchSource { return memSource{g} }
@@ -62,45 +57,23 @@ func GraphSource(g *graph.Graph) SearchSource { return memSource{g} }
 // materializes. Over GraphSource it is equivalent to TopKCtx; over a
 // semi-external source the full graph is never loaded — each round touches
 // only the prefix the search has grown to, which is how a query can execute
-// against a graph larger than RAM.
+// against a graph larger than RAM. The rounds are Grow's, with the banded
+// γ-core round of bandedRun as the band.
 func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Options) (*Result, error) {
-	if err := checkQuery(ctx, src, k, gamma, opts); err != nil {
-		return nil, err
+	if k < 1 {
+		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
-	n := src.NumVertices()
 	var r bandedRun
 	r.init(src, gamma, opts)
 	defer r.release()
-	for p := initialPrefix(src, k, gamma, opts); ; p = growPrefix(src, p, opts) {
-		if err := r.round(ctx, p); err != nil {
-			return nil, err
-		}
-		if r.st.Communities >= k || p == n {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	var err error
+	r.st, err = Grow(ctx, src, k, gamma, opts, func(p, prev int) (int, error) {
+		return r.band(ctx, p, prev)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r.result(k, opts), nil
-}
-
-// checkQuery validates a query against src before any round runs.
-func checkQuery(ctx context.Context, src SearchSource, k int, gamma int32, opts Options) error {
-	switch {
-	case src == nil:
-		return errors.New("core: nil search source")
-	case src.NumVertices() == 0:
-		return errors.New("core: empty graph")
-	case k < 1:
-		return fmt.Errorf("core: k must be >= 1, got %d", k)
-	case gamma < 1:
-		return fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
-	}
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	return ctx.Err()
 }
 
 // bandedRun is the round state of one LocalSearch query: the engine bound
@@ -118,19 +91,17 @@ type bandedRun struct {
 	flags RunFlags
 	nc    bool
 
-	g   *graph.Graph // graph of the last round (or of the parallel winner)
-	eng *Engine      // engine bound to g; nil after the parallel hand-off
+	g   *graph.Graph // graph of the last round
+	eng *Engine      // engine bound to g
 	// pool, when non-nil, owns eng (it came from pool.Get and goes back
 	// with pool.Put) and supplies enumeration state for g. accPool likewise
 	// owns acc; the CVS buffer only depends on output size, so it is kept
 	// across graph changes and returned to the pool it came from.
-	pool       *Pool
-	acc        *CVS // bands of all rounds so far, in round order
-	accPool    *Pool
-	winRelease func() // releases the parallel winner's graph; nil otherwise
+	pool    *Pool
+	acc     *CVS // bands of all rounds so far, in round order
+	accPool *Pool
 
-	prev int   // prefix of the last round: its keynodes are final
-	st   Stats // Communities is the running count over all bands
+	st Stats // the run's Stats, as Grow returned them
 }
 
 func (r *bandedRun) init(src SearchSource, gamma int32, opts Options) {
@@ -142,14 +113,15 @@ func (r *bandedRun) init(src SearchSource, gamma int32, opts Options) {
 	}
 }
 
-// round runs one LocalSearch round on the prefix [0, p), p > r.prev.
-func (r *bandedRun) round(ctx context.Context, p int) error {
+// band is one Grow round on the prefix [0, p): it appends the keynodes of
+// rank ≥ prev to acc and returns how many communities they hold.
+func (r *bandedRun) band(ctx context.Context, p, prev int) (int, error) {
 	mg, err := r.src.Materialize(p)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if mg.NumVertices() < p {
-		return fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
+		return 0, fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
 	}
 	// Engines are bound to one graph; reuse only while the source keeps
 	// returning the same one (the in-memory case, or a cached prefix large
@@ -167,37 +139,20 @@ func (r *bandedRun) round(ctx context.Context, p int) error {
 		}
 		r.eng.SetContext(ctx)
 	}
-	r.ensureAcc(p)
+	if r.acc == nil {
+		if r.pool != nil {
+			r.acc, r.accPool = r.pool.buffers.Get().(*CVS), r.pool
+		} else {
+			r.acc = new(CVS)
+		}
+		r.acc.reset(p)
+	}
 	from := len(r.acc.Keys)
 	r.acc.startBand()
-	if err := r.eng.appendBand(r.acc, p, r.prev, r.flags); err != nil {
-		return err
+	if err := r.eng.appendBand(r.acc, p, prev, r.flags); err != nil {
+		return 0, err
 	}
-	r.account(p, countOf(r.acc, from, r.nc))
-	return nil
-}
-
-// ensureAcc checks the band buffer out of the current pool (or allocates
-// it) before the first band is appended.
-func (r *bandedRun) ensureAcc(p int) {
-	if r.acc != nil {
-		return
-	}
-	if r.pool != nil {
-		r.acc, r.accPool = r.pool.buffers.Get().(*CVS), r.pool
-	} else {
-		r.acc = new(CVS)
-	}
-	r.acc.reset(p)
-}
-
-// account records a finished round on prefix p whose band held cnt
-// communities.
-func (r *bandedRun) account(p, cnt int) {
-	r.prev = p
-	r.st.Rounds++
-	r.st.TotalWork += r.src.PrefixSize(p)
-	r.st.Communities += cnt
+	return countOf(r.acc, from, r.nc), nil
 }
 
 // putEngine returns the current engine to its pool, if pooled.
@@ -214,9 +169,6 @@ func (r *bandedRun) release() {
 	if r.accPool != nil {
 		r.accPool.buffers.Put(r.acc)
 	}
-	if r.winRelease != nil {
-		r.winRelease()
-	}
 }
 
 // result enumerates the top-k communities from the carried bands of the
@@ -226,8 +178,6 @@ func (r *bandedRun) release() {
 // non-containment keynodes are sparse among all keynodes, so the whole
 // sequence may be needed to collect k of them.
 func (r *bandedRun) result(k int, opts Options) *Result {
-	r.st.FinalPrefix = r.prev
-	r.st.FinalSize = r.src.PrefixSize(r.prev)
 	tail := k
 	if r.nc {
 		tail = -1

@@ -619,7 +619,7 @@ func TestAdminLoadPrefixCache(t *testing.T) {
 }
 
 // TestAdminLoadParallelCompressed loads a compressed (v2) edge file with
-// intra-query parallelism through the admin endpoint: the dataset must
+// a parallel decode budget through the admin endpoint: the dataset must
 // report its format and worker count, and answer byte-identically to the
 // in-memory default — the parallel path is an implementation detail, not a
 // semantics change.

@@ -205,8 +205,9 @@ type DatasetInfo struct {
 	// Format reports the semi-external edge-file layout ("v1" flat, "v2"
 	// delta+varint compressed); empty for in-memory backends.
 	Format string `json:"format,omitempty"`
-	// Workers is the per-query parallelism the dataset was loaded with;
-	// 0 or 1 means sequential serving.
+	// Workers is the worker budget the dataset was loaded with: the
+	// parallelism of v2 bulk prefix decodes (semi-external) or of index
+	// maintenance (mutable); 0 or 1 means sequential.
 	Workers int `json:"workers,omitempty"`
 	// CachedPrefix is the vertex count the semi-external decoded-prefix
 	// cache currently covers; 0 when disabled or for in-memory backends.
@@ -498,11 +499,11 @@ type loadRequest struct {
 	// Mode selects the semi-external access path: "auto" (default),
 	// "mmap", or "stream".
 	Mode string `json:"mode,omitempty"`
-	// Workers enables intra-query parallelism on the semi-external backend:
-	// each query's candidate prefixes decode and evaluate on up to this many
-	// goroutines (see store.WithWorkers). On the mutable backend it instead
-	// bounds the index-maintenance build/repair parallelism (0 =
-	// GOMAXPROCS). 0 or 1 serves sequentially.
+	// Workers bounds the parallelism of the semi-external backend's v2 bulk
+	// prefix decodes: each decode splits across up to this many goroutines
+	// (see store.WithWorkers); queries themselves run sequentially. On the
+	// mutable backend it instead bounds the index-maintenance build/repair
+	// parallelism (0 = GOMAXPROCS). 0 or 1 decodes sequentially.
 	Workers int `json:"workers,omitempty"`
 	// Reindex selects index maintenance for mutable datasets: "auto"
 	// keeps the index current across updates, "off" drops it on the first

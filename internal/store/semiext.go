@@ -53,10 +53,9 @@ type SemiExt struct {
 	format int
 	meta   semiext.FileMeta
 
-	// workers bounds intra-query parallelism: queries large enough to leave
-	// the zero-overhead path evaluate their γ-round decompositions on up to
-	// this many goroutines, and v2 bulk decodes split the same way. 0 or 1
-	// serves strictly sequentially.
+	// workers bounds how many goroutines a v2 bulk prefix decode
+	// (View.AdjPrefix) splits across; 0 or 1 decodes sequentially. Queries
+	// themselves always run sequentially.
 	workers int
 
 	// view is the shared zero-copy window over the edge file; nil in
@@ -125,12 +124,12 @@ func WithEdgeFileMode(mode string) OpenOption {
 	return func(c *openConfig) { c.mode = mode }
 }
 
-// WithWorkers bounds intra-query parallelism for the semi-external backend:
-// queries whose work size leaves the zero-overhead sequential path evaluate
-// their independent γ-round decompositions on up to n goroutines, and bulk
-// prefix decodes of compressed (v2) edge files split across the same
-// worker count. Results are byte-identical at any setting. 0 or 1 (the
-// default) serves strictly sequentially. Ignored by the memory backend.
+// WithWorkers bounds the parallelism of the semi-external backend's bulk
+// prefix decodes: materializing a prefix of a compressed (v2) edge file
+// splits the decode across up to n goroutines on block boundaries. The
+// LocalSearch rounds themselves run sequentially, and results are
+// byte-identical at any setting. 0 or 1 (the default) decodes
+// sequentially. Ignored by the memory backend.
 func WithWorkers(n int) OpenOption {
 	return func(c *openConfig) { c.workers = n }
 }
@@ -244,8 +243,8 @@ func (s *SemiExt) Mode() string { return s.mode }
 // varint compressed adjacency).
 func (s *SemiExt) Format() int { return s.format }
 
-// Workers returns the intra-query parallelism bound (0 or 1 means strictly
-// sequential serving).
+// Workers returns the bulk-decode parallelism bound (0 or 1 means
+// sequential decoding).
 func (s *SemiExt) Workers() int { return s.workers }
 
 // NumVertices returns the vertex count.
@@ -286,9 +285,6 @@ func (s *SemiExt) TopK(ctx context.Context, k int, gamma int32, opts core.Option
 	src := s.srcPool.Get().(*seSource)
 	src.ctx = ctx
 	defer s.putSource(src)
-	if s.workers > 1 {
-		return core.TopKOverParallel(ctx, src, k, gamma, opts, s.workers)
-	}
 	return core.TopKOver(ctx, src, k, gamma, opts)
 }
 
@@ -503,16 +499,4 @@ func (q *seSource) SourcePool(g *graph.Graph) *core.Pool {
 		return c.pool
 	}
 	return nil
-}
-
-// Fork hands the parallel driver an independent source over the same store
-// for one speculative round: private builds go into the fork's own pooled
-// scratch, so concurrent rounds never share mutable state, while the
-// decoded-prefix cache and its engine pool stay shared (both are safe for
-// concurrent readers). The release callback returns the fork's scratch to
-// the pool; the driver invokes it only once the round's graph is dead.
-func (q *seSource) Fork(ctx context.Context) (core.SearchSource, func()) {
-	f := q.st.srcPool.Get().(*seSource)
-	f.ctx = ctx
-	return f, func() { q.st.putSource(f) }
 }

@@ -136,17 +136,19 @@ func TestBackendsAgree(t *testing.T) {
 }
 
 // TestParallelServeAgrees is the large-graph half of the backend contract:
-// on a graph big enough to engage the speculative parallel driver and the
-// chunked v2 decode, every (format, workers, mode) combination must still
-// be byte-identical to the in-memory backend. Run under -race -cpu 1,4,8
-// this is the end-to-end determinism proof for intra-query parallelism.
+// on a graph big enough that a v2 prefix decode splits into concurrent
+// chunks (View.AdjPrefix never cuts a chunk below 2¹⁵ edges, so the graph
+// needs at least two chunks' worth), every (format, workers, mode)
+// combination must still be byte-identical to the in-memory backend. Run
+// under -race -cpu 1,4,8 this is the end-to-end determinism proof for the
+// parallel decode.
 func TestParallelServeAgrees(t *testing.T) {
 	g, err := gen.PlantedCommunities(40, 120, 0.4, 2, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.PrefixSize(g.NumVertices()) < core.ParallelMinRoundWork {
-		t.Fatal("test graph too small to engage the parallel driver")
+	if g.NumEdges() < 2<<15 {
+		t.Fatalf("test graph has %d edges, fewer than two parallel decode chunks", g.NumEdges())
 	}
 	mem, err := OpenMem(g)
 	if err != nil {
@@ -522,56 +524,16 @@ func BenchmarkSemiExtServe(b *testing.B) {
 	bench("Memory", mem)
 }
 
-// benchPlanted returns the clustered serving workload the parallel and
-// compression benchmarks share: a planted-community graph whose whole-graph
-// work size is far above core.ParallelMinRoundWork — so large queries leave
-// the sequential prelude — and whose weight-banded rank locality is the
-// structure the v2 delta+varint layout compresses (~3x; uniformly random
-// graphs compress far less and are the wrong benchmark for it).
+// benchPlanted returns the clustered serving workload of the compression
+// benchmark: a planted-community graph whose weight-banded rank locality
+// is the structure the v2 delta+varint layout compresses (~3x; uniformly
+// random graphs compress far less and are the wrong benchmark for it).
 func benchPlanted(b *testing.B) *graph.Graph {
 	g, err := gen.PlantedCommunities(48, 160, 0.4, 2, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if g.PrefixSize(g.NumVertices()) < int64(core.ParallelMinRoundWork) {
-		b.Fatalf("benchmark graph below the parallel cutoff (%d < %d)",
-			g.PrefixSize(g.NumVertices()), core.ParallelMinRoundWork)
-	}
 	return g
-}
-
-// BenchmarkParallelServe measures intra-query parallelism on the
-// semi-external backend: the same deep query (k past the community count,
-// so the search sweeps the whole graph) served sequentially and with eight
-// workers. Results are byte-identical; on multi-core machines the
-// speculative rounds overlap and the parallel rows drop toward the cost of
-// the largest round alone. On a single-core runner the rows track each
-// other — the delta is then the pure orchestration overhead.
-func BenchmarkParallelServe(b *testing.B) {
-	g := benchPlanted(b)
-	path := writeEdgeFileFormat(b, g, semiext.FormatV1)
-	ctx := context.Background()
-	for _, c := range []struct {
-		name string
-		opts []OpenOption
-	}{
-		{"Sequential", nil},
-		{"Workers8", []OpenOption{WithWorkers(8)}},
-	} {
-		st, err := OpenEdgeFile(path, c.opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.TopK(ctx, 200, 2, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		st.Close()
-	}
 }
 
 // BenchmarkCompressedServe compares serving the flat (v1) and compressed

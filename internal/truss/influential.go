@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"influcomm/internal/core"
 )
 
 // Community is one influential γ-truss community, a node of the containment
@@ -74,65 +76,12 @@ func CountICC(ix *Index, p int, gamma int32) *CVS {
 // so the EnumIC disjoint-set construction carries over with vertex sharing
 // as the linking relation.
 func EnumICC(ix *Index, c *CVS, k int) []*Community {
-	start := 0
-	if k >= 0 && len(c.Keys) > k {
-		start = len(c.Keys) - k
-	}
-	n := ix.g.NumVertices()
-	vgroup := make([]int32, n)
-	for i := range vgroup {
-		vgroup[i] = -1
-	}
-	var parent []int32
-	find := func(j int32) int32 {
-		for parent[j] != j {
-			parent[j] = parent[parent[j]]
-			j = parent[j]
-		}
-		return j
-	}
-	var comms []*Community
-	out := make([]*Community, 0, len(c.Keys)-start)
-	for j := len(c.Keys) - 1; j >= start; j-- {
-		u := c.Keys[j]
-		gid := int32(len(comms))
-		parent = append(parent, gid)
-		com := &Community{keynode: u, influence: ix.g.Weight(u)}
-		claim := func(w int32) {
-			if vgroup[w] < 0 {
-				vgroup[w] = gid
-				com.group = append(com.group, w)
-				com.size++
-				return
-			}
-			r := find(vgroup[w])
-			if r == gid {
-				return
-			}
-			child := comms[r]
-			com.children = append(com.children, child)
-			com.size += child.size
-			parent[r] = gid
-		}
-		for _, e := range c.Group(j) {
-			lo, hi := ix.Endpoints(e)
-			claim(lo)
-			claim(hi)
-		}
-		comms = append(comms, com)
-		out = append(out, com)
-	}
-	return out
+	return NewEnumState(ix).Process(c, k)
 }
 
-// Stats mirrors core.Stats for the truss algorithms.
-type Stats struct {
-	Rounds      int
-	FinalPrefix int
-	FinalSize   int64
-	TotalWork   int64
-	Communities int
-}
+// Stats is core.Stats: the truss algorithms run on core's growth loop and
+// report the same §3.3 quantities.
+type Stats = core.Stats
 
 // Result is the output of LocalSearch and GlobalSearch.
 type Result struct {
@@ -157,8 +106,10 @@ func validate(ix *Index, k int, gamma int32) error {
 }
 
 // LocalSearch computes the top-k influential γ-truss communities with the
-// generalized local search framework (Algorithm 6): grow the high-weight
-// prefix geometrically (δ = 2) until it holds k communities, then enumerate.
+// generalized local search framework (Algorithm 6): core.Grow grows the
+// high-weight prefix geometrically (δ = 2) until it holds k communities,
+// each round counting only the keynodes its prefix adds, then EnumICC
+// enumerates them.
 func LocalSearch(ix *Index, k int, gamma int32) (*Result, error) {
 	return LocalSearchCtx(context.Background(), ix, k, gamma)
 }
@@ -170,44 +121,46 @@ func LocalSearchCtx(ctx context.Context, ix *Index, k int, gamma int32) (*Result
 	if err := validate(ix, k, gamma); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	var b bands
+	st, err := core.Grow(ctx, ix.g, k, gamma, core.Options{}, func(p, prev int) (int, error) {
+		return b.add(ctx, ix, p, prev, gamma)
+	})
+	if err != nil {
 		return nil, err
 	}
-	g := ix.g
-	n := g.NumVertices()
-	p := k + int(gamma)
-	if p > n {
-		p = n
+	return &Result{Communities: EnumICC(ix, b.cvs(), k), Stats: st}, nil
+}
+
+// bands holds the per-round CVS bands of one LocalSearch run in round
+// order. Edge IDs are global, so a band computed on an earlier prefix is
+// the same in every later one.
+type bands []*CVS
+
+// add computes the band of keynodes with rank ≥ prev in the prefix [0, p)
+// and returns how many communities it holds.
+func (b *bands) add(ctx context.Context, ix *Index, p, prev int, gamma int32) (int, error) {
+	c, err := countICCFromCtx(ctx, ix, p, prev, gamma)
+	if err != nil {
+		return 0, err
 	}
-	var st Stats
-	var cvs *CVS
-	for {
-		var err error
-		cvs, err = countICCFromCtx(ctx, ix, p, 0, gamma)
-		if err != nil {
-			return nil, err
+	*b = append(*b, c)
+	return c.Count(), nil
+}
+
+// cvs assembles the bands into the CVS of the last round's prefix, in
+// increasing weight order: every later band's keynodes weigh less than all
+// earlier bands' keynodes, so the bands go last to first.
+func (b bands) cvs() *CVS {
+	out := &CVS{P: b[len(b)-1].P, KeyPos: []int32{0}}
+	for i := len(b) - 1; i >= 0; i-- {
+		base := int32(len(out.Seq))
+		out.Keys = append(out.Keys, b[i].Keys...)
+		for _, pos := range b[i].KeyPos[1:] {
+			out.KeyPos = append(out.KeyPos, base+pos)
 		}
-		st.Rounds++
-		st.TotalWork += g.PrefixSize(p)
-		if cvs.Count() >= k || p == n {
-			st.Communities = cvs.Count()
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		next := g.PrefixForSize(2 * g.PrefixSize(p))
-		if next <= p {
-			next = p + 1
-		}
-		if next > n {
-			next = n
-		}
-		p = next
+		out.Seq = append(out.Seq, b[i].Seq...)
 	}
-	st.FinalPrefix = p
-	st.FinalSize = g.PrefixSize(p)
-	return &Result{Communities: EnumICC(ix, cvs, k), Stats: st}, nil
+	return out
 }
 
 // GlobalSearch is the baseline of Eval-VIII: CountICC over the entire graph

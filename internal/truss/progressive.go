@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"influcomm/internal/core"
 )
 
 // CountICCFrom is the truss ConstructCVS (the Algorithm 5 counterpart for
@@ -75,11 +77,17 @@ func (s *EnumState) find(j int32) int32 {
 	return j
 }
 
-// Process enumerates the communities of one round's CVS in decreasing
-// influence order, linking them to communities from earlier rounds.
-func (s *EnumState) Process(c *CVS) []*Community {
-	out := make([]*Community, 0, len(c.Keys))
-	for j := len(c.Keys) - 1; j >= 0; j-- {
+// Process enumerates the communities of the last k keynodes of c (all of
+// them when k < 0) in decreasing influence order, linking them to the
+// communities of earlier calls: called once per round with the round's
+// band, it is progressive enumeration.
+func (s *EnumState) Process(c *CVS, k int) []*Community {
+	start := 0
+	if k >= 0 && len(c.Keys) > k {
+		start = len(c.Keys) - k
+	}
+	out := make([]*Community, 0, len(c.Keys)-start)
+	for j := len(c.Keys) - 1; j >= start; j-- {
 		u := c.Keys[j]
 		gid := int32(len(s.comms))
 		s.parent = append(s.parent, gid)
@@ -120,7 +128,9 @@ func Stream(ix *Index, gamma int32, yield func(*Community) bool) (int, error) {
 }
 
 // StreamCtx is Stream under a context: cancellation is observed at round
-// boundaries and inside CountICC, stopping the search promptly.
+// boundaries and inside CountICC, stopping the search promptly. It is
+// core.Grow's progressive loop with a band that yields each community as
+// soon as its round produces it.
 func StreamCtx(ctx context.Context, ix *Index, gamma int32, yield func(*Community) bool) (int, error) {
 	if ix == nil || ix.g == nil {
 		return 0, errors.New("truss: nil index")
@@ -128,41 +138,20 @@ func StreamCtx(ctx context.Context, ix *Index, gamma int32, yield func(*Communit
 	if gamma < 2 {
 		return 0, fmt.Errorf("truss: gamma must be >= 2, got %d", gamma)
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	g := ix.g
-	n := g.NumVertices()
-	p := 1 + int(gamma)
-	if p > n {
-		p = n
-	}
-	prev := 0
-	st := NewEnumState(ix)
-	for {
-		cvs, err := countICCFromCtx(ctx, ix, p, prev, gamma)
+	es := NewEnumState(ix)
+	st, err := core.Grow(ctx, ix.g, -1, gamma, core.Options{}, func(p, prev int) (int, error) {
+		c, err := countICCFromCtx(ctx, ix, p, prev, gamma)
 		if err != nil {
-			return p, err
+			return 0, err
 		}
-		for _, c := range st.Process(cvs) {
-			if !yield(c) {
-				return p, nil
+		cnt := 0
+		for _, com := range es.Process(c, -1) {
+			cnt++
+			if !yield(com) {
+				return cnt, core.ErrStopGrowth
 			}
 		}
-		if p == n {
-			return p, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return p, err
-		}
-		prev = p
-		next := g.PrefixForSize(2 * g.PrefixSize(p))
-		if next <= p {
-			next = p + 1
-		}
-		if next > n {
-			next = n
-		}
-		p = next
-	}
+		return cnt, nil
+	})
+	return st.FinalPrefix, err
 }

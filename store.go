@@ -48,12 +48,12 @@ func WithEdgeFileMode(mode string) StoreOption {
 	return store.WithEdgeFileMode(mode)
 }
 
-// WithQueryWorkers bounds intra-query parallelism for the semi-external
-// backend: a query whose work size leaves the zero-overhead sequential path
-// evaluates its independent candidate prefixes on up to n goroutines, and
-// bulk decodes of compressed (v2) edge files split across the same workers.
-// Results — communities and access statistics alike — are byte-identical at
-// any setting; 0 or 1 (the default) serves strictly sequentially.
+// WithQueryWorkers bounds the parallelism of the semi-external backend's
+// bulk prefix decodes: a query materializing a prefix of a compressed (v2)
+// edge file splits the decode across up to n goroutines. The query's
+// rounds themselves run sequentially. Results — communities and access
+// statistics alike — are byte-identical at any setting; 0 or 1 (the
+// default) decodes sequentially.
 func WithQueryWorkers(n int) StoreOption {
 	return store.WithWorkers(n)
 }
