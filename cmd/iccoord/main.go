@@ -153,7 +153,7 @@ func main() {
 		return nil
 	})
 	flag.IntVar(&cfg.maxK, "maxk", 10000, "largest k a single request may ask for")
-	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", 10*time.Second, "per-shard attempt deadline before failover (0 = coordinator default, 30s)")
+	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", 10*time.Second, "per-shard attempt budget of time spent waiting on the replica, before failover (0 = coordinator default, 30s)")
 	flag.BoolVar(&cfg.partial, "partial", false, "serve degraded results from surviving shards when a shard exhausts its replicas (default: fail the query)")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", 2*time.Second, "replica health-probe period (0 = no active probing)")
 	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", time.Second, "health-probe deadline (0 = coordinator default, 1s)")

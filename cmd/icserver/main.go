@@ -53,8 +53,8 @@
 // also be loaded and unloaded at runtime
 // through the admin endpoints — protect those with -admin-token (or keep
 // the port private): they can unload live datasets and open server-side
-// files. Repeated identical queries are answered
-// from an LRU result cache (-cache entries, 0 disables).
+// files. Identical queries, on /v1/topk and /v1/query alike, share one
+// execution through each dataset's memo (-cache results; 0 keeps none).
 //
 // With -index (or a per-dataset index= option), a prebuilt index file
 // (see icindex) is loaded and validated against the graph at startup;
@@ -243,7 +243,7 @@ func main() {
 		cfg.datasets = append(cfg.datasets, d)
 		return nil
 	})
-	flag.IntVar(&cfg.cacheSize, "cache", 256, "query-result cache entries (0 disables)")
+	flag.IntVar(&cfg.cacheSize, "cache", 256, "results memoized per dataset for /v1/topk and /v1/query (0 keeps none; in-flight identical queries still share)")
 	flag.StringVar(&cfg.adminToken, "admin-token", "", "bearer token required on /v1/admin endpoints (empty = open; keep the port private)")
 	flag.IntVar(&cfg.maxK, "maxk", 10000, "largest k a single request may ask for")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "concurrent query limit, 503 beyond it (0 = 4×GOMAXPROCS, -1 = unlimited)")

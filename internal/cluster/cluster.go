@@ -47,10 +47,12 @@ type Result struct {
 // Option configures a Coordinator.
 type Option func(*Coordinator)
 
-// WithShardTimeout bounds each shard attempt (connect through trailer). A
-// replica that exceeds it is treated exactly like a failed one: the
-// coordinator fails over to the next replica, and past the last replica the
-// shard is dropped (partial mode) or the query errors (strict mode).
+// WithShardTimeout bounds the time each shard attempt spends waiting on its
+// replica, from connect through trailer; time spent blocked handing
+// communities to the merge is not counted. A replica that exceeds it is
+// treated exactly like a failed one: the coordinator fails over to the next
+// replica, and past the last replica the shard is dropped (partial mode) or
+// the query errors (strict mode).
 // Non-positive values keep the default, DefaultShardTimeout — there is
 // deliberately no way to run unbounded, because a black-holed replica
 // would hang the gather until the client disconnects.
@@ -401,31 +403,107 @@ func send(ctx context.Context, out chan<- shardItem, it shardItem) bool {
 }
 
 // openResult is one resolved shard-open attempt: an open stream plus the
-// attempt context that bounds its whole life, or an error. pos is the plan
-// position that actually served (a winning hedge moves it forward).
+// budget that bounds its whole life, or an error. pos is the plan position
+// that actually served (a winning hedge moves it forward).
 type openResult struct {
 	ss     *shardStream
-	sctx   context.Context
-	cancel context.CancelFunc
+	budget *attemptBudget
 	pos    int
 	err    error
 }
 
+// attemptBudget is the WithShardTimeout clock of one attempt. It stops
+// while the reader waits on a merge that waits on a slower shard, so that
+// shard cannot time out (and trip the breaker of) a healthy one. One timer
+// serves the attempt: firing early, it re-arms for the unspent budget or
+// parks until the hand-off ends, so the healthy path costs at most two
+// clock reads per item (none when the merge is already waiting) and no
+// timer operations.
+type attemptBudget struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc // cause context.DeadlineExceeded once spent
+
+	mu       sync.Mutex
+	timer    *time.Timer
+	deadline time.Time // pushed back by each hand-off
+	handoff  time.Time // start of the hand-off in progress, or zero
+	parked   bool      // the timer fired during the hand-off
+}
+
+func newAttemptBudget(ctx context.Context, d time.Duration) *attemptBudget {
+	b := &attemptBudget{deadline: time.Now().Add(d)}
+	b.ctx, b.cancel = context.WithCancelCause(ctx)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.timer = time.AfterFunc(d, b.expire)
+	return b
+}
+
+func (b *attemptBudget) expire() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch left := time.Until(b.deadline); {
+	case b.ctx.Err() != nil: // stopped
+	case !b.handoff.IsZero():
+		b.parked = true
+	case left > 0:
+		b.timer.Reset(left)
+	default:
+		b.cancel(context.DeadlineExceeded)
+	}
+}
+
+// send hands it to the merge with the budget's clock stopped.
+func (b *attemptBudget) send(ctx context.Context, out chan<- shardItem, it shardItem) bool {
+	select {
+	case out <- it: // the merge was waiting: no clock to stop
+		return true
+	default:
+	}
+	b.mu.Lock()
+	b.handoff = time.Now()
+	b.mu.Unlock()
+	ok := send(ctx, out, it)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.deadline = b.deadline.Add(time.Since(b.handoff))
+	b.handoff = time.Time{}
+	if b.parked {
+		b.parked = false
+		b.timer.Reset(time.Until(b.deadline))
+	}
+	return ok
+}
+
+// stop ends the attempt, releasing its timer and context.
+func (b *attemptBudget) stop() {
+	b.cancel(nil) // first: a concurrent expire then sees ctx.Err and stays idle
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.timer.Stop()
+}
+
 // openAttempt opens the stream for plan[pos], feeding the replica's
-// breaker and latency score with the outcome.
+// breaker and latency score with the outcome. A failure caused by the
+// query's own context ending is not the replica's, and is not recorded.
 func (c *Coordinator) openAttempt(ctx context.Context, si int, dataset string, plan []attempt, pos, limit int, gamma int32, mode string) openResult {
 	rep := c.reps[si][plan[pos].rep]
-	sctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
+	b := newAttemptBudget(ctx, c.shardTimeout)
 	start := time.Now()
-	ss, err := openStream(sctx, c.client, rep.url, dataset, mode, gamma, limit)
+	ss, err := openStream(b.ctx, c.client, rep.url, dataset, mode, gamma, limit)
 	if err != nil {
-		cancel()
-		rep.br.failure(time.Now())
+		if cause := context.Cause(b.ctx); cause != nil {
+			err = fmt.Errorf("cluster: %s: %w", rep.url, cause)
+		}
+		b.stop()
+		if ctx.Err() == nil {
+			rep.br.failure(time.Now())
+		}
 		return openResult{pos: pos, err: err}
 	}
 	rep.br.success()
 	rep.observe(time.Since(start))
-	return openResult{ss: ss, sctx: sctx, cancel: cancel, pos: pos}
+	return openResult{ss: ss, budget: b, pos: pos}
 }
 
 // discardOpen drains a losing hedge attempt in the background, closing
@@ -435,9 +513,7 @@ func discardOpen(ch <-chan openResult) {
 		r := <-ch
 		if r.ss != nil {
 			r.ss.Close()
-		}
-		if r.cancel != nil {
-			r.cancel()
+			r.budget.stop()
 		}
 	}()
 }
@@ -546,31 +622,29 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 		}
 		pos = r.pos // a winning hedge may have advanced the plan position
 		rep = c.reps[si][plan[pos].rep]
-		if !send(ctx, out, shardItem{header: &r.ss.header, pos: pos}) {
-			r.ss.Close()
-			r.cancel()
-			return
-		}
+		// Hand the merge every item until the trailer or an error ends it.
+		b := r.budget
+		it := shardItem{header: &r.ss.header, pos: pos}
 		for {
+			if !b.send(ctx, out, it) || it.trailer != nil || it.err != nil {
+				r.ss.Close()
+				b.stop()
+				return
+			}
 			comm, trailer, err := r.ss.Next()
-			var it shardItem
 			switch {
 			case err != nil:
-				if r.sctx.Err() != nil {
-					err = fmt.Errorf("shard %q replica %s: %w", sh.Name, rep.url, r.sctx.Err())
+				if cause := context.Cause(b.ctx); cause != nil {
+					err = fmt.Errorf("shard %q replica %s: %w", sh.Name, rep.url, cause)
 				}
-				rep.br.failure(time.Now())
+				if ctx.Err() == nil { // a merge that ended early is not the replica's failure
+					rep.br.failure(time.Now())
+				}
 				it = shardItem{err: err, pos: pos}
 			case trailer != nil:
 				it = shardItem{trailer: trailer, pos: pos}
 			default:
 				it = shardItem{comm: comm, pos: pos}
-			}
-			ok := send(ctx, out, it)
-			if !ok || it.comm == nil {
-				r.ss.Close()
-				r.cancel()
-				return
 			}
 		}
 	}

@@ -427,3 +427,73 @@ func TestFlappingReplicasSoak(t *testing.T) {
 		}
 	}
 }
+
+// pacedWriter delays every stream line after the header by gap: a healthy
+// replica whose search takes a moment per community.
+type pacedWriter struct {
+	http.ResponseWriter
+	gap time.Duration
+}
+
+func (w pacedWriter) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	time.Sleep(w.gap)
+}
+
+// TestShardBudgetExcludesMergeWait: a shard attempt is charged only for the
+// time spent waiting on its replica. The merge pulls shard0 first and waits
+// out a black-holed replica there; meanwhile the healthy, paced shard1 sits
+// blocked handing the merge its header. That wait must not spend shard1's
+// budget, fail the query, or count against shard1's breaker.
+func TestShardBudgetExcludesMergeWait(t *testing.T) {
+	g := clusterTestGraph(t)
+	parts, err := cluster.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := replicatedShardServers(t, g, 2, 2)
+	const gap = 10 * time.Millisecond
+	paced, err := server.New(parts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pacedTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paced.ServeHTTP(pacedWriter{w, gap}, r)
+	}))
+	t.Cleanup(pacedTS.Close)
+	shards[1].Replicas = []string{pacedTS.URL}
+
+	tr := faultnet.NewTransport(nil)
+	tr.Set(hostOf(t, shards[0].Replicas[0]), mustScript(t, "blackhole", 1))
+	// shard1's replica streams its answer in about six gaps, well inside
+	// the budget, but the merge keeps shard1's reader waiting for a whole
+	// budget before taking its header.
+	const shardTimeout = 150 * time.Millisecond
+	coord, err := cluster.NewCoordinator(shards,
+		cluster.WithHTTPClient(&http.Client{Transport: tr}),
+		cluster.WithShardTimeout(shardTimeout),
+		cluster.WithBreaker(2, time.Hour),
+		cluster.WithOpenRetries(0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	res, err := coord.TopK(context.Background(), "", 5, 3, cluster.ModeCore)
+	if err != nil {
+		t.Fatalf("query with a healthy shard kept waiting by the merge: %v", err)
+	}
+	if res.Partial || len(res.Communities) != 5 {
+		t.Fatalf("partial=%v n=%d, want a complete answer of 5", res.Partial, len(res.Communities))
+	}
+	healthy := map[string]bool{shards[0].Replicas[1]: true, pacedTS.URL: true}
+	for _, sh := range coord.Status() {
+		for _, rep := range sh.Replicas {
+			if healthy[rep.URL] && (rep.ConsecutiveFails != 0 || rep.Trips != 0) {
+				t.Errorf("healthy replica %s of %s: consecutive_fails=%d trips=%d, want 0/0",
+					rep.URL, sh.Name, rep.ConsecutiveFails, rep.Trips)
+			}
+		}
+	}
+}

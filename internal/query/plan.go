@@ -95,6 +95,14 @@ func PlanQuery(q *Query, pick PickPath) ([]Node, error) {
 	return nodes, nil
 }
 
+// TopKNode returns the node, Key included, that "topk(k=K, gamma=Γ,
+// semantics=MODE)" plans to, so a classic top-k request shares work with
+// its DSL spelling. Path is left for the executor to choose.
+func TopKNode(k int, gamma int32, mode string) Node {
+	src := Source{K: k, GammaLo: gamma, GammaHi: gamma, Semantics: []string{mode}}
+	return Node{K: k, Gamma: gamma, Mode: mode, Key: nodeKey(&src, gamma, mode)}
+}
+
 // nodeKey renders the canonical single-(γ, semantics) source print that
 // identifies a node's computation.
 func nodeKey(src *Source, gamma int32, mode string) string {

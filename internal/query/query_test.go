@@ -138,6 +138,25 @@ func TestPlanQuerySharedKeysAcrossStatements(t *testing.T) {
 	}
 }
 
+func TestPlanTopKNodeMatchesPlannedKey(t *testing.T) {
+	// A fixed-shape node built outside the planner carries the key the
+	// planner gives the same search, under every semantics.
+	q, err := Parse("topk(k=4, gamma=2..3, semantics=core+noncontainment+truss)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := PlanQuery(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		tn := TopKNode(n.K, n.Gamma, n.Mode)
+		if tn.Key != n.Key || !tn.FixedShape() {
+			t.Errorf("TopKNode(%d, %d, %s) key %q fixed=%v, planner key %q", n.K, n.Gamma, n.Mode, tn.Key, tn.FixedShape(), n.Key)
+		}
+	}
+}
+
 func TestPlanQueryNodeCap(t *testing.T) {
 	q, err := Parse("topk(gamma=1..1000)")
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMemoSize is the memo capacity a Sharer gets when constructed with
-// a non-positive one.
+// DefaultMemoSize is the memo capacity the serving tier gives each
+// dataset's Sharer unless configured otherwise.
 const DefaultMemoSize = 256
 
 // Sharer computes identical plan nodes exactly once across concurrent
@@ -43,15 +43,13 @@ type sharedCall struct {
 }
 
 // NewSharer returns a Sharer whose memo keeps at most capacity completed
-// results (DefaultMemoSize if capacity is not positive).
+// results, evicting the oldest first. A capacity of zero or less keeps
+// none: only callers that overlap an in-flight computation share it.
 func NewSharer(capacity int) *Sharer {
-	if capacity <= 0 {
-		capacity = DefaultMemoSize
-	}
 	return &Sharer{
 		calls: make(map[string]*sharedCall),
 		memo:  make(map[string]any),
-		cap:   capacity,
+		cap:   max(capacity, 0),
 	}
 }
 
@@ -99,7 +97,7 @@ func (s *Sharer) Do(ctx context.Context, epoch uint64, key string, fn func() (an
 
 		s.mu.Lock()
 		delete(s.calls, full)
-		if c.err == nil {
+		if c.err == nil && s.cap > 0 {
 			if len(s.memo) >= s.cap {
 				oldest := s.order[0]
 				s.order = s.order[1:]
@@ -119,6 +117,13 @@ func (s *Sharer) Hits() int64 { return s.hits.Load() }
 
 // Execs returns how many times Do actually executed a computation.
 func (s *Sharer) Execs() int64 { return s.execs.Load() }
+
+// Len returns how many completed results the memo holds.
+func (s *Sharer) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.memo)
+}
 
 // SetExecHook installs (or, with nil, removes) a function observing every
 // real execution's key. It exists for tests that assert exactly how many

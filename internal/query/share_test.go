@@ -10,7 +10,7 @@ import (
 )
 
 func TestCSESharerComputesOnce(t *testing.T) {
-	s := NewSharer(0)
+	s := NewSharer(DefaultMemoSize)
 	var builds atomic.Int64
 	s.SetExecHook(func(string) { builds.Add(1) })
 
@@ -74,7 +74,7 @@ func TestCSESharerMemoHit(t *testing.T) {
 }
 
 func TestCSESharerNeverCrossesEpochs(t *testing.T) {
-	s := NewSharer(0)
+	s := NewSharer(DefaultMemoSize)
 	var builds atomic.Int64
 	fn := func() (any, error) { return builds.Add(1), nil }
 	if _, shared, _ := s.Do(context.Background(), 1, "n", fn); shared {
@@ -96,7 +96,7 @@ func TestCSESharerNeverCrossesEpochs(t *testing.T) {
 }
 
 func TestCSESharerErrorsNotMemoized(t *testing.T) {
-	s := NewSharer(0)
+	s := NewSharer(DefaultMemoSize)
 	boom := errors.New("boom")
 	calls := 0
 	fn := func() (any, error) { calls++; return nil, boom }
@@ -112,7 +112,7 @@ func TestCSESharerErrorsNotMemoized(t *testing.T) {
 }
 
 func TestCSESharerFollowerRetriesCancelledLeader(t *testing.T) {
-	s := NewSharer(0)
+	s := NewSharer(DefaultMemoSize)
 	leaderStarted := make(chan struct{})
 	leaderRelease := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -173,5 +173,19 @@ func TestCSESharerMemoBounded(t *testing.T) {
 	}
 	if _, shared, _ := s.Do(context.Background(), 1, "n0", func() (any, error) { return -1, nil }); shared {
 		t.Fatal("oldest key unexpectedly retained")
+	}
+}
+
+func TestCSESharerZeroCapacityKeepsNoMemo(t *testing.T) {
+	s := NewSharer(0)
+	var builds atomic.Int64
+	fn := func() (any, error) { return builds.Add(1), nil }
+	for i := 0; i < 3; i++ {
+		if _, shared, err := s.Do(context.Background(), 1, "n", fn); err != nil || shared {
+			t.Fatalf("call %d: shared=%v err=%v, want a fresh execution", i, shared, err)
+		}
+	}
+	if builds.Load() != 3 || s.Len() != 0 {
+		t.Fatalf("builds=%d memo len=%d, want 3 and 0", builds.Load(), s.Len())
 	}
 }

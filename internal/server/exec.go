@@ -9,6 +9,7 @@ import (
 	"influcomm/internal/cluster"
 	"influcomm/internal/core"
 	"influcomm/internal/graph"
+	"influcomm/internal/query"
 	"influcomm/internal/store"
 	"influcomm/internal/truss"
 )
@@ -21,20 +22,11 @@ import (
 // scatter — the property the distributed tier's byte-identical guarantee is
 // built on.
 
-// queryParams is the engine-boundary description of one query: what to
-// search for, independent of how the request arrived or where the answer
-// goes.
-type queryParams struct {
-	K     int
-	Gamma int32
-	Mode  string // cluster.ModeCore, ModeNonContainment, or ModeTruss
-}
-
 // parseQueryParams extracts k/gamma/mode from URL query values, applying
 // the handler defaults (k=10, gamma=5, core semantics) and the server's k
-// bound.
-func parseQueryParams(q url.Values, maxK int) (queryParams, error) {
-	var p queryParams
+// bound, into a plan node's K/Gamma/Mode: the engine-boundary description.
+func parseQueryParams(q url.Values, maxK int) (query.Node, error) {
+	var p query.Node
 	k, err := intParam(q.Get("k"), 10)
 	if err != nil {
 		return p, &httpError{http.StatusBadRequest, "bad k: " + err.Error()}
@@ -77,7 +69,7 @@ type execResult struct {
 // answers only while it still equals the index's attach epoch, so a query
 // racing an update can never serve a pre-update index answer as current.
 // Serving-path metrics are counted here, shared by every entry point.
-func (s *Server) executeTopK(ctx context.Context, ds *dataset, p queryParams, epoch uint64) (*execResult, error) {
+func (s *Server) executeTopK(ctx context.Context, ds *dataset, p query.Node, epoch uint64) (*execResult, error) {
 	out := &execResult{}
 	ix := ds.indexAt(epoch)
 	switch {
@@ -167,7 +159,7 @@ type streamResult struct {
 //   - semi-external backends, which cannot stream progressively, fall back
 //     to executeTopK with k = limit; the results are identical, the work is
 //     not output-proportional.
-func (s *Server) executeStream(ctx context.Context, ds *dataset, p queryParams, limit int, g *graph.Graph, epoch uint64, emit func(communityJSON) bool) (streamResult, error) {
+func (s *Server) executeStream(ctx context.Context, ds *dataset, p query.Node, limit int, g *graph.Graph, epoch uint64, emit func(communityJSON) bool) (streamResult, error) {
 	var sr streamResult
 	stopped := false
 	yield := func(c communityJSON) bool {
@@ -220,7 +212,7 @@ func (s *Server) executeStream(ctx context.Context, ds *dataset, p queryParams, 
 		// Semi-external fallback: no whole graph to stream over, so answer
 		// with one bounded top-k. limit == the coordinator's global k, and a
 		// global top-k never needs more than k communities from one shard.
-		er, err := s.executeTopK(ctx, ds, queryParams{K: limit, Gamma: p.Gamma, Mode: p.Mode}, epoch)
+		er, err := s.executeTopK(ctx, ds, query.Node{K: limit, Gamma: p.Gamma, Mode: p.Mode}, epoch)
 		if err != nil {
 			return sr, err
 		}

@@ -16,12 +16,11 @@ import (
 )
 
 // This file is the single-node side of the query DSL (internal/query):
-// POST /v1/query parses a batch, plans it into fixed-shape nodes, and
-// executes the nodes through the same engine boundary as /v1/topk
-// (executeTopK), with cross-query sharing — identical canonical nodes at
-// the same snapshot epoch are computed once across all concurrent batches
-// via the dataset's Sharer, and seed-scoped (near) statements additionally
-// share the reweighted graph across their γ expansion.
+// POST /v1/query parses a batch, plans it into nodes, and executes each
+// through executeNode — the path every /v1/topk request, a one-node plan,
+// takes too — so identical canonical nodes at the same snapshot epoch are
+// computed once across all concurrent requests via the dataset's Sharer.
+// Seed-scoped (near) statements also share the reweighted graph.
 
 // maxQueryBody bounds a /v1/query request body.
 const maxQueryBody = 1 << 20
@@ -79,30 +78,15 @@ type nodeResult struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// Same admission control as /v1/topk: one slot per batch, shed when
-	// saturated. DSL batches are counted separately (dsl_queries) so the
-	// classic per-query latency average stays comparable.
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
-			return
-		}
+	// Same admission control as /v1/topk: one slot per batch. DSL batches
+	// are counted separately (dsl_queries) so the classic per-query
+	// latency average stays comparable.
+	ctx, cancel, ok := s.admit(w, r)
+	if !ok {
+		return
 	}
+	defer s.done(cancel)
 	s.metrics.dslQueries.Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
-	ctx := r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
-	}
 
 	start := time.Now()
 	resp, err := s.runQueryBatch(ctx, w, r)
@@ -124,21 +108,15 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 
-	name := req.Dataset
-	if name == "" {
-		name = DefaultDataset
-	}
-	ds := s.registry.acquireLookup(name)
-	if ds == nil {
-		return nil, &httpError{http.StatusNotFound, "dataset " + strconv.Quote(name) + " is not loaded"}
+	ds, err := s.pin(req.Dataset)
+	if err != nil {
+		return nil, err
 	}
 	defer ds.release()
-	ds.queries.Add(1)
 
 	// One epoch pins the whole batch: every fixed-shape node executes and
-	// shares against it, exactly like a /v1/topk cache key. (As everywhere
-	// else, a concurrent update can at worst make an execution see a newer
-	// snapshot than the epoch it is keyed under — never an older one.)
+	// shares against it. (A concurrent update can at worst make an execution
+	// see a newer snapshot than the epoch it is keyed under, never older.)
 	epoch := ds.epoch()
 	hasIndex := ds.indexAt(epoch) != nil
 	nodes, err := query.PlanQuery(q, func(mode string, near bool) string {
@@ -163,7 +141,7 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 
 	resp := &queryResponse{
 		Query:         q.String(),
-		Dataset:       name,
+		Dataset:       ds.name,
 		PlanNodes:     len(nodes),
 		SnapshotEpoch: epoch,
 	}
@@ -194,14 +172,12 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 
 // executeNode runs one plan node with cross-query sharing: the node's
 // canonical key plus the snapshot epoch identify the computation, so any
-// concurrent or recent identical node — same batch, another batch, another
-// client — yields one execution. Fixed-shape nodes run through executeTopK,
-// the same engine boundary as /v1/topk, which is what makes a DSL node's
-// communities byte-identical to its fixed-shape equivalent.
+// concurrent or recent identical node — from /v1/topk or any batch — yields
+// one execution. Fixed-shape nodes run through executeTopK.
 func (s *Server) executeNode(ctx context.Context, ds *dataset, n query.Node, epoch uint64) (*execResult, bool, error) {
 	if n.FixedShape() {
 		val, shared, err := ds.sharer.Do(ctx, epoch, n.Key, func() (any, error) {
-			return s.executeTopK(ctx, ds, queryParams{K: n.K, Gamma: n.Gamma, Mode: n.Mode}, epoch)
+			return s.executeTopK(ctx, ds, n, epoch)
 		})
 		if err != nil {
 			return nil, false, err

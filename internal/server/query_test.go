@@ -233,6 +233,15 @@ func TestCSESharedDecompositionComputedOnce(t *testing.T) {
 		t.Errorf("sharing saved nothing: %d decompositions for %d nodes", total, 3*batches)
 	}
 
+	// Counted before the comparison loop below: its /v1/topk calls run
+	// through the same Sharer.
+	if ds.sharer.Execs() != 2 {
+		t.Errorf("sharer execs = %d, want 2", ds.sharer.Execs())
+	}
+	if ds.sharer.Hits() != int64(3*batches-2) {
+		t.Errorf("sharer hits = %d, want %d", ds.sharer.Hits(), 3*batches-2)
+	}
+
 	// Every batch's communities match the fixed-shape answer, and the
 	// per-batch counters add up: all but the first-executed instance of
 	// each key is a CSE hit.
@@ -269,12 +278,6 @@ func TestCSESharedDecompositionComputedOnce(t *testing.T) {
 	}
 	if want := 3*batches - 2; hits != want {
 		t.Errorf("summed cse_hits = %d, want %d", hits, want)
-	}
-	if ds.sharer.Execs() != 2 {
-		t.Errorf("sharer execs = %d, want 2", ds.sharer.Execs())
-	}
-	if ds.sharer.Hits() != int64(3*batches-2) {
-		t.Errorf("sharer hits = %d, want %d", ds.sharer.Hits(), 3*batches-2)
 	}
 }
 

@@ -23,9 +23,6 @@ import (
 type registry struct {
 	mu       sync.RWMutex
 	datasets map[string]*dataset
-	// gen increments per registration, so cache keys from an unloaded
-	// dataset can never alias a later dataset with the same name.
-	gen uint64
 
 	// defaultIndex is stashed by WithIndex until New registers the
 	// default dataset.
@@ -36,7 +33,6 @@ type registry struct {
 // index, a lazily built truss index, and serving counters.
 type dataset struct {
 	name string
-	gen  uint64
 	st   store.Store
 
 	// attached, when non-nil, holds the prebuilt index answering
@@ -73,11 +69,11 @@ type dataset struct {
 	indexServed atomic.Int64
 	localServed atomic.Int64
 
-	// sharer deduplicates DSL plan-node executions across concurrent
-	// /v1/query batches: identical canonical nodes at the same snapshot
-	// epoch are computed once (singleflight + bounded memo). Per dataset,
-	// because node keys do not name the dataset and epochs of different
-	// datasets are unrelated counters.
+	// sharer runs every /v1/topk request and /v1/query plan node, so
+	// identical canonical nodes at one snapshot epoch are computed once
+	// (singleflight + bounded memo). Per dataset, because node keys do not
+	// name the dataset and epochs of different datasets are unrelated; a
+	// dataset later loaded under the same name starts with an empty memo.
 	sharer *query.Sharer
 
 	// refs counts in-flight queries; unloaded marks removal from the
@@ -91,7 +87,7 @@ type dataset struct {
 
 // epoch returns the store's snapshot epoch: 0 for immutable backends, the
 // monotonically increasing batch counter for mutable ones. It keys the
-// result cache and the truss index, so both stay coherent across updates.
+// shared results and the truss index, so both stay coherent across updates.
 func (d *dataset) epoch() uint64 {
 	if ms := store.AsMutable(d.st); ms != nil {
 		return ms.SnapshotEpoch()
@@ -168,8 +164,6 @@ func (d *dataset) truss(g *graph.Graph, epoch uint64) *truss.Index {
 	}
 	return d.trussIndex
 }
-
-func (d *dataset) acquire() { d.refs.Add(1) }
 
 // closeStore closes the backend exactly once, recording the error —
 // mutable backends compact their write-ahead log here, and a failed
@@ -285,7 +279,7 @@ func (r *registry) acquireLookup(name string) *dataset {
 	defer r.mu.RUnlock()
 	ds := r.datasets[name]
 	if ds != nil {
-		ds.acquire()
+		ds.refs.Add(1)
 	}
 	return ds
 }
@@ -387,8 +381,7 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 	if _, ok := s.registry.datasets[name]; ok {
 		return nil, fmt.Errorf("server: dataset %q is %w", name, errAlreadyLoaded)
 	}
-	s.registry.gen++
-	ds := &dataset{name: name, gen: s.registry.gen, st: st, sharer: query.NewSharer(0)}
+	ds := &dataset{name: name, st: st, sharer: query.NewSharer(s.memoSize)}
 	if cfg.Index != nil {
 		ds.attached.Store(&attachedIndex{ix: cfg.Index, epoch: ds.epoch()})
 	}
@@ -405,7 +398,7 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 }
 
 // RemoveDataset unloads the named dataset: it disappears from routing
-// immediately, cached results for it are purged, and the backend is closed
+// immediately, its memoized results go with it, and the backend is closed
 // once in-flight queries drain. Safe to call while the server is serving.
 func (s *Server) RemoveDataset(name string) error {
 	s.registry.mu.Lock()
@@ -416,9 +409,6 @@ func (s *Server) RemoveDataset(name string) error {
 	s.registry.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("server: dataset %q is not loaded", name)
-	}
-	if s.cache != nil {
-		s.cache.invalidateDataset(name)
 	}
 	if ds.maint != nil {
 		// Drain the maintenance pipeline before the backend can close: an

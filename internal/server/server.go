@@ -7,11 +7,13 @@
 // RAM — plus an optional prebuilt index (in-memory backends only) that
 // answers default-semantics queries in output-proportional time. Queries
 // run concurrently, each request under its own context with a per-request
-// deadline; a bounded LRU cache short-circuits repeated identical queries
-// and reports hits and misses on /v1/stats. Datasets can be loaded and
-// unloaded at runtime through the admin endpoints without restarting;
-// unloading waits for in-flight queries on that dataset to drain before
-// releasing the backend.
+// deadline. Every single-node query — /v1/topk and each /v1/query plan
+// node — runs through its dataset's query.Sharer: identical queries at the
+// same snapshot epoch join one in-flight execution, and a bounded memo
+// serves recent repeats; /v1/stats reports the /v1/topk hits and misses.
+// Datasets can be loaded and unloaded at runtime through the admin
+// endpoints without restarting; unloading waits for in-flight queries on
+// that dataset to drain before releasing the backend.
 //
 // Endpoints:
 //
@@ -52,7 +54,7 @@ import (
 	"influcomm/internal/cluster"
 	"influcomm/internal/graph"
 	"influcomm/internal/index"
-	"influcomm/internal/store"
+	"influcomm/internal/query"
 )
 
 // DefaultDataset is the name queries are routed to when no dataset
@@ -66,8 +68,9 @@ type Server struct {
 
 	registry registry
 
-	// cache short-circuits repeated identical queries; nil when disabled.
-	cache *resultCache
+	// memoSize is the memo capacity of each dataset's Sharer; 0 keeps no
+	// memo, leaving only the join on in-flight identical queries.
+	memoSize int
 
 	// adminToken, when non-empty, gates the admin endpoints behind a
 	// bearer token; queries stay open.
@@ -113,6 +116,9 @@ type metrics struct {
 	dslQueries atomic.Int64 // admitted /v1/query batches
 	planNodes  atomic.Int64 // plan nodes expanded by those batches
 	cseHits    atomic.Int64 // plan nodes served by shared work, not fresh execution
+
+	cacheHits   atomic.Int64 // /v1/topk requests served by shared work
+	cacheMisses atomic.Int64 // /v1/topk requests that executed
 }
 
 // Option configures a Server.
@@ -162,16 +168,13 @@ func WithDataset(name string, cfg DatasetConfig) Option {
 	}
 }
 
-// WithResultCache overrides the query-result cache capacity (default 256
-// entries); n <= 0 disables the cache.
+// WithResultCache sets how many completed query results each dataset's
+// memo keeps (default query.DefaultMemoSize, 256); the oldest is evicted
+// first. n <= 0 keeps none: concurrent identical queries still execute
+// once, but a repeat after completion executes again, on /v1/topk and
+// /v1/query alike.
 func WithResultCache(n int) Option {
-	return func(s *Server) {
-		if n <= 0 {
-			s.cache = nil
-			return
-		}
-		s.cache = newResultCache(n)
-	}
+	return func(s *Server) { s.memoSize = max(n, 0) }
 }
 
 // WithAdminToken protects the admin endpoints (dataset load/unload) with
@@ -204,7 +207,7 @@ func New(g *graph.Graph, opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		mux:          http.NewServeMux(),
-		cache:        newResultCache(256),
+		memoSize:     query.DefaultMemoSize,
 		maxK:         10000,
 		queryTimeout: 30 * time.Second,
 		inflight:     make(chan struct{}, 4*runtime.GOMAXPROCS(0)),
@@ -266,7 +269,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the /v1/stats payload: the default dataset's shape (for
 // compatibility with single-dataset deployments), the serving counters
-// since startup, the cache counters, and one entry per loaded dataset.
+// since startup, the memo counters, and one entry per loaded dataset.
 type statsResponse struct {
 	Vertices  int     `json:"vertices"`
 	Edges     int64   `json:"edges"`
@@ -283,7 +286,8 @@ type statsResponse struct {
 
 	// Serving-path split: IndexQueries were answered from a prebuilt
 	// index, LocalQueries by online search (LocalSearch or truss),
-	// CacheHits straight from the result cache.
+	// CacheHits by shared work (a memo hit or a join on an identical
+	// in-flight query).
 	IndexLoaded   bool  `json:"index_loaded"`
 	IndexGammaMax int32 `json:"index_gamma_max,omitempty"`
 	IndexQueries  int64 `json:"index_queries"`
@@ -315,6 +319,8 @@ type statsResponse struct {
 	SnapshotEpoch  uint64 `json:"snapshot_epoch,omitempty"`
 	UpdatesApplied int64  `json:"updates_applied,omitempty"`
 
+	// Memo counters: the per-dataset capacity, the results memoized over
+	// all datasets, and /v1/topk requests served by shared work or executed.
 	CacheCapacity int   `json:"cache_capacity"`
 	CacheEntries  int   `json:"cache_entries"`
 	CacheHits     int64 `json:"cache_hits"`
@@ -338,6 +344,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DSLQueries:   s.metrics.dslQueries.Load(),
 		PlanNodes:    s.metrics.planNodes.Load(),
 		CSEHits:      s.metrics.cseHits.Load(),
+
+		CacheCapacity: s.memoSize,
+		CacheHits:     s.metrics.cacheHits.Load(),
+		CacheMisses:   s.metrics.cacheMisses.Load(),
 	}
 	if ds := s.registry.lookup(DefaultDataset); ds != nil {
 		if g := ds.st.Graph(); g != nil {
@@ -345,28 +355,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.MaxDegree = st.MaxDegree
 			resp.AvgDegree = st.AvgDegree
 		}
-		resp.Vertices = ds.st.NumVertices()
-		resp.Edges = ds.st.NumEdges()
 		if ix := ds.indexAt(ds.epoch()); ix != nil {
 			resp.IndexLoaded = true
 			resp.IndexGammaMax = ix.GammaMax()
 		}
-		resp.IndexState = ds.indexState()
-		if ds.maint != nil {
-			resp.IndexRebuilds = ds.maint.rebuilds.Load()
-			resp.IndexDeltaRepairs = ds.maint.deltaRepairs.Load()
-		}
-		if ms := store.AsMutable(ds.st); ms != nil {
-			resp.SnapshotEpoch = ms.SnapshotEpoch()
-			resp.UpdatesApplied = ms.UpdatesApplied()
-		}
+		info := ds.info()
+		resp.Vertices, resp.Edges = info.Vertices, info.Edges
+		resp.IndexState, resp.IndexRebuilds, resp.IndexDeltaRepairs = info.IndexState, info.IndexRebuilds, info.IndexDeltaRepairs
+		resp.SnapshotEpoch, resp.UpdatesApplied = info.SnapshotEpoch, info.UpdatesApplied
 	}
-	if s.cache != nil {
-		resp.CacheCapacity = s.cache.capacity
-		resp.CacheEntries = s.cache.len()
-		resp.CacheHits = s.cache.hits.Load()
-		resp.CacheMisses = s.cache.misses.Load()
+	s.registry.mu.RLock()
+	for _, ds := range s.registry.datasets {
+		resp.CacheEntries += ds.sharer.Len()
 	}
+	s.registry.mu.RUnlock()
 	resp.Datasets = s.Datasets()
 	if resp.Queries > 0 {
 		resp.AvgLatency = float64(s.metrics.durationUS.Load()) / 1000 / float64(resp.Queries)
@@ -390,7 +392,8 @@ type topKResponse struct {
 	// AccessedVertices reports how much of the graph the local search
 	// touched.
 	AccessedVertices int `json:"accessed_vertices,omitempty"`
-	// Cached marks responses served from the result cache.
+	// Cached marks responses served by shared work: a memo hit, or a join
+	// on an identical query in flight.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -401,30 +404,58 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	// Admission control: a saturated server sheds load immediately rather
-	// than queueing unbounded work behind slow searches.
+// admit takes an in-flight slot for one query request, or sheds it with a
+// 503 at once when the server is saturated. Admitted, it returns the query
+// context under the per-request deadline; defer s.done(cancel).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
 	if s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
 		default:
 			s.metrics.rejected.Add(1)
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
-			return
+			return nil, nil, false
 		}
 	}
-	s.metrics.queries.Add(1)
 	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
-	ctx := r.Context()
 	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
+		ctx, cancel := context.WithTimeout(r.Context(), s.queryTimeout)
+		return ctx, cancel, true
 	}
+	return r.Context(), func() {}, true
+}
+
+// done ends an admitted request, releasing its deadline and its slot.
+func (s *Server) done(cancel context.CancelFunc) {
+	cancel()
+	s.metrics.inFlight.Add(-1)
+	if s.inflight != nil {
+		<-s.inflight
+	}
+}
+
+// pin resolves and pins the named dataset (the default when name is empty)
+// in one step, so a concurrent unload waits for the caller's release.
+func (s *Server) pin(name string) (*dataset, error) {
+	if name == "" {
+		name = DefaultDataset
+	}
+	ds := s.registry.acquireLookup(name)
+	if ds == nil {
+		return nil, &httpError{http.StatusNotFound, fmt.Sprintf("dataset %q is not loaded", name)}
+	}
+	ds.queries.Add(1)
+	return ds, nil
+}
+
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	defer s.done(cancel)
+	s.metrics.queries.Add(1)
 
 	start := time.Now()
 	resp, err := s.topK(ctx, r)
@@ -462,52 +493,32 @@ func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, erro
 	if err != nil {
 		return nil, err
 	}
-
-	name := q.Get("dataset")
-	if name == "" {
-		name = DefaultDataset
-	}
-	// Resolve and pin in one step: an admin unload concurrent with this
-	// request only releases the backend once we are done.
-	ds := s.registry.acquireLookup(name)
-	if ds == nil {
-		return nil, &httpError{http.StatusNotFound, fmt.Sprintf("dataset %q is not loaded", name)}
-	}
-	defer ds.release()
-	ds.queries.Add(1)
-
-	// The epoch is read once, before the query executes, and keys both the
-	// cache entry and executeTopK's index-validity check: a concurrent
-	// update can at worst leave an entry keyed under an epoch that no future
-	// request carries (monotonic, so it just ages out of the LRU) — never
-	// a stale result served as current.
-	epoch := ds.epoch()
-	key := cacheKey{dataset: name, gen: ds.gen, epoch: epoch, k: p.K, gamma: int(p.Gamma), mode: p.Mode}
-	if s.cache != nil {
-		if hit, ok := s.cache.get(key); ok { // hit/miss counters live on the cache
-			resp := *hit // shallow copy; communities are immutable once built
-			resp.Cached = true
-			return &resp, nil
-		}
-	}
-
-	start := time.Now()
-	er, err := s.executeTopK(ctx, ds, p, epoch)
+	ds, err := s.pin(q.Get("dataset"))
 	if err != nil {
 		return nil, err
 	}
-	resp := &topKResponse{
+	defer ds.release()
+
+	// A /v1/topk request is the one-node plan of its DSL spelling, so it
+	// shares the dataset's memo and in-flight joins with /v1/query, under
+	// the same epoch fencing (see runQueryBatch).
+	start := time.Now()
+	er, shared, err := s.executeNode(ctx, ds, query.TopKNode(p.K, p.Gamma, p.Mode), ds.epoch())
+	if shared {
+		s.metrics.cacheHits.Add(1)
+	} else {
+		s.metrics.cacheMisses.Add(1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &topKResponse{
 		K: p.K, Gamma: int(p.Gamma), Mode: p.Mode,
 		Communities:      er.Communities,
 		AccessedVertices: er.Accessed,
 		ElapsedMS:        float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if s.cache != nil {
-		cached := *resp
-		cached.ElapsedMS = 0
-		s.cache.put(key, &cached)
-	}
-	return resp, nil
+		Cached:           shared,
+	}, nil
 }
 
 // queryError passes context errors through for classify and wraps anything

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"influcomm/internal/cluster"
@@ -31,56 +32,31 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 	// Shard streams share the query admission control: a saturated shard
 	// sheds coordinators like it sheds clients, and the coordinator's
 	// failover treats the 503 like any other replica failure.
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
-			return
-		}
+	ctx, cancel, ok := s.admit(w, r)
+	if !ok {
+		return
 	}
+	defer s.done(cancel)
 	s.metrics.queries.Add(1)
 	s.metrics.shardStreams.Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
-	ctx := r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
-	}
 
 	q := r.URL.Query()
 	p, err := parseQueryParams(q, s.maxK)
-	if err == nil {
+	limit, lerr := strconv.Atoi(q.Get("limit"))
+	switch m := q.Get("mode"); {
+	case err != nil:
+	case m != "" && m != cluster.ModeCore && m != cluster.ModeNonContainment && m != cluster.ModeTruss:
+		err = &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", m)}
+	case q.Get("limit") == "":
+		err = &httpError{http.StatusBadRequest, "limit is required"}
+	case lerr != nil:
+		err = &httpError{http.StatusBadRequest, "bad limit: " + lerr.Error()}
+	case limit < 1 || limit > s.maxK:
+		err = &httpError{http.StatusBadRequest, fmt.Sprintf("limit must be in [1, %d]", s.maxK)}
+	case m != "":
 		// Coordinators name the semantics directly; mode= wins over the
 		// single-node truss=1/noncontainment=1 flags.
-		switch m := q.Get("mode"); m {
-		case "", cluster.ModeCore:
-			if m != "" {
-				p.Mode = cluster.ModeCore
-			}
-		case cluster.ModeNonContainment, cluster.ModeTruss:
-			p.Mode = m
-		default:
-			err = &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", m)}
-		}
-	}
-	if err == nil && q.Get("limit") == "" {
-		err = &httpError{http.StatusBadRequest, "limit is required"}
-	}
-	var limit int
-	if err == nil {
-		limit, err = intParam(q.Get("limit"), 0)
-		if err != nil {
-			err = &httpError{http.StatusBadRequest, "bad limit: " + err.Error()}
-		} else if limit < 1 || limit > s.maxK {
-			err = &httpError{http.StatusBadRequest, fmt.Sprintf("limit must be in [1, %d]", s.maxK)}
-		}
+		p.Mode = m
 	}
 	if err != nil {
 		writeJSON(w, s.classify(err), map[string]string{"error": err.Error()})
@@ -88,18 +64,12 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 	}
 	p.K = limit
 
-	name := q.Get("dataset")
-	if name == "" {
-		name = DefaultDataset
-	}
-	ds := s.registry.acquireLookup(name)
-	if ds == nil {
-		s.metrics.errors.Add(1)
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("dataset %q is not loaded", name)})
+	ds, err := s.pin(q.Get("dataset"))
+	if err != nil {
+		writeJSON(w, s.classify(err), map[string]string{"error": err.Error()})
 		return
 	}
 	defer ds.release()
-	ds.queries.Add(1)
 
 	// Pin the snapshot once: graph and epoch are one coherent read, and the
 	// whole stream — header, every community, trailer — describes exactly
@@ -129,7 +99,7 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 	if !writeLine(cluster.StreamLine{Header: &cluster.StreamHeader{
-		Dataset: name, Mode: p.Mode, SnapshotEpoch: epoch,
+		Dataset: ds.name, Mode: p.Mode, SnapshotEpoch: epoch,
 	}}) {
 		return
 	}
